@@ -683,6 +683,7 @@ impl Runtime {
         let mut tasks = HashMap::new();
         let mut rearm: VecDeque<(u32, u32, u32, u32)> = VecDeque::new();
         let mut pending = VecDeque::new();
+        let mut resume = Vec::new();
         let tasks_decided = rebuilt.decided.len();
         for (task, rt) in rebuilt.open {
             let payload = roster
@@ -698,6 +699,7 @@ impl Runtime {
             for replica in rt.dispatched..rt.replicas {
                 pending.push_back((task, replica));
             }
+            resume.push((task, rt.unclosed_wave));
             tasks.insert(
                 task,
                 TaskState {
@@ -719,7 +721,6 @@ impl Runtime {
         recovery::sort_rearm(&mut rearm);
         let jobs_rearmed = rearm.len();
         let tasks_resumed = tasks.len();
-        let mut resume: Vec<u32> = tasks.keys().copied().collect();
         resume.sort_unstable();
 
         // Replicas parked before the crash dispatch in task order — the
@@ -1053,12 +1054,9 @@ struct Coordinator<S> {
     /// Recovered roster tasks awaiting first admission, drained ahead of
     /// the external submission queue.
     seeded: VecDeque<Submission>,
-    /// Resumed open tasks to nudge once at startup: a crash can land
-    /// exactly between a recorded vote (or abandon) and the strategy step
-    /// it should have triggered, leaving a task with zero outstanding
-    /// replicas and nothing queued. `advance` is a no-op for tasks whose
-    /// votes are still outstanding, so nudging every resumed task is safe.
-    resume: Vec<u32>,
+    /// Resumed open tasks to settle once at startup, each with the wave
+    /// whose close the crash cut off (see [`Self::settle_resumed`]).
+    resume: Vec<(u32, Option<u32>)>,
     next_job: u32,
     active: Arc<AtomicUsize>,
     draining: bool,
@@ -1115,12 +1113,12 @@ const TICK: Duration = Duration::from_millis(1);
 impl<S: RedundancyStrategy<bool>> Coordinator<S> {
     fn run(mut self) -> (RuntimeReport, Journal, bool) {
         let resume = std::mem::take(&mut self.resume);
-        for task in resume {
+        for (task, unclosed_wave) in resume {
             if self.crashed {
                 break;
             }
             let at = self.stamp();
-            self.advance(task, at);
+            self.settle_resumed(task, unclosed_wave, at);
         }
         loop {
             if self.crashed {
@@ -1414,6 +1412,33 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         self.active.store(self.tasks.len(), Ordering::Relaxed);
         let at = self.stamp();
         self.advance(sub.task, at);
+    }
+
+    /// Re-derives, for a task resumed from the WAL, every decision that is
+    /// a pure function of its durable events but that the crash cut off
+    /// before it was logged, then steps the strategy. A crash can land
+    /// between a resolution (vote, timeout, worker crash) and what it
+    /// triggers: a poisoning once the logged `WorkerCrashed` charges reach
+    /// the crash limit, the close of a drained wave, the next wave or the
+    /// verdict. Each is taken here exactly as the live path would have, so
+    /// a poisoned task never reopens and a drained wave closes once.
+    /// `advance` is a no-op for tasks whose votes are still outstanding,
+    /// so settling every resumed task is safe.
+    fn settle_resumed(&mut self, task: u32, unclosed_wave: Option<u32>, at: SimTime) {
+        let Some(state) = self.tasks.get(&task) else {
+            return;
+        };
+        let crashes = state.poison.crashes();
+        if self.cfg.poison.is_some_and(|p| crashes >= p.crash_limit) {
+            self.finalize(task, Outcome::Poisoned, at);
+            return;
+        }
+        if let Some(wave) = unclosed_wave {
+            if !self.log(at, RunEvent::WaveClosed { task, wave }) {
+                return;
+            }
+        }
+        self.advance(task, at);
     }
 
     /// Steps the task's strategy until it parks (pending/verdict/cap),

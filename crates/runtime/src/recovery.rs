@@ -143,6 +143,10 @@ pub(crate) struct RebuiltTask<S> {
     /// Whether a probationary node's result has flagged the task for a
     /// mandatory audit that has not yet concluded clean.
     pub must_audit: bool,
+    /// The current wave, when it has drained (every replica resolved, no
+    /// verdict) but its `WaveClosed` never reached the log — the crash
+    /// fell between the resolution and the close.
+    pub unclosed_wave: Option<u32>,
 }
 
 /// Everything [`rebuild`] recovers from the WAL prefix.
@@ -200,10 +204,13 @@ where
         first_dispatch: Option<SimTime>,
         returns: Vec<(u32, u32, bool)>,
         must_audit: bool,
+        /// Last wave whose `WaveClosed` is in the log.
+        closed_wave: u32,
     }
-    // Charge-counting policy: never trips, so replay can count crashes
-    // without re-deciding poisoning (the decision, if made, is in the log
-    // as `TaskPoisoned`).
+    // Charge-counting policy: never trips, so replay only counts crashes.
+    // A poisoning in the log closed the task as `TaskPoisoned`; one the
+    // crash cut off is re-derived from the count at startup
+    // (`Coordinator::settle_resumed`).
     let charge = PoisonPolicy {
         crash_limit: u32::MAX,
     };
@@ -253,6 +260,7 @@ where
                         first_dispatch: None,
                         returns: Vec::new(),
                         must_audit: false,
+                        closed_wave: 0,
                     }
                 });
                 let step = acc.exec.step_wave();
@@ -344,6 +352,11 @@ where
                 let slot = incarnations.entry(node).or_insert(0);
                 *slot = (*slot).max(incarnation);
             }
+            RunEvent::WaveClosed { task, wave } => {
+                if let Some(acc) = open.get_mut(&task) {
+                    acc.closed_wave = wave;
+                }
+            }
             RunEvent::EpochAdvanced { task, epoch } => {
                 if let Some(acc) = open.get_mut(&task) {
                     acc.epoch = epoch;
@@ -415,6 +428,7 @@ where
                 acc.exec.reset();
                 acc.returns.clear();
                 acc.must_audit = false;
+                acc.closed_wave = 0;
                 acc.next_replica = acc.replicas;
             }
             // Hedge twins live outside the replica accounting: their
@@ -427,14 +441,13 @@ where
                 next_job = next_job.max(job + 1);
             }
             RunEvent::HedgeWon { .. } | RunEvent::HedgeWasted { .. } => {}
-            // Tallies, wave closes, retries, and stale drops carry no
+            // Tallies, retries, and stale drops carry no
             // state the strategy replay does not already reproduce; the
             // runtime never emits churn, outage, or fault-plan events.
             // DAG annotations (transfers, stage verdicts, poison marks)
             // are caller-journaled workload bookkeeping: recovery
             // preserves them in the WAL but they drive no tally state.
             RunEvent::VoteTallied { .. }
-            | RunEvent::WaveClosed { .. }
             | RunEvent::JobRetried { .. }
             | RunEvent::StaleReplyDropped { .. }
             | RunEvent::NodeJoined { .. }
@@ -464,6 +477,9 @@ where
                 .filter(|j| !resolved.contains(j))
                 .map(|&j| (j, job_replica[&j]))
                 .collect();
+            let wave = acc.exec.waves() as u32;
+            let unclosed_wave =
+                (acc.exec.wave_boundary() && wave > acc.closed_wave).then_some(wave);
             (
                 task,
                 RebuiltTask {
@@ -477,6 +493,7 @@ where
                     in_flight,
                     returns: acc.returns,
                     must_audit: acc.must_audit,
+                    unclosed_wave,
                 },
             )
         })
