@@ -10,16 +10,21 @@
 
 use std::rc::Rc;
 
+use smartred_core::audit::AuditPolicy;
 use smartred_core::execution::Assignment;
 use smartred_core::hedge::HedgePolicy;
 use smartred_core::params::{KVotes, VoteMargin};
 use smartred_core::resilience::{QuarantinePolicy, RetryPolicy};
 use smartred_core::strategy::{Iterative, Progressive, Traditional};
-use smartred_dca::config::DcaConfig;
+use smartred_dca::config::{
+    CartelConfig, ChurnConfig, DcaConfig, FailureConfig, NetworkConfig, TimeoutPolicy,
+};
+use smartred_dca::faults::FaultPlan;
 use smartred_dca::replay::report_from_journal;
 use smartred_dca::sim::{run_journaled, JournaledRun, SharedStrategy};
-use smartred_desim::journal::{assert as jassert, EventKind, Journal, RunEvent};
-use smartred_desim::time::SimTime;
+use smartred_desim::journal::{assert as jassert, EventKind, Journal, RunEvent, Stamped};
+use smartred_desim::network::LinkSpec;
+use smartred_desim::time::{SimDuration, SimTime};
 
 const SEED: u64 = 20110620; // ICDCS 2011 opening day
 
@@ -97,6 +102,202 @@ fn hedged_golden_cases() -> Vec<(Assignment, &'static str)> {
 const GOLDEN_HEDGED_RANDOM: &str = "5df6a6f6d48785aa";
 const GOLDEN_HEDGED_ROUND_ROBIN: &str = "b4b5635f11e0f001";
 const GOLDEN_HEDGED_LEAST_LOADED: &str = "5868d11323eb2a8c";
+
+/// A pinned run of one lifecycle path: the config that reaches it, the
+/// strategy, its digest, and the event kinds the path must produce. The
+/// kinds keep a pin honest: a config change that stops reaching its path
+/// fails the coverage check instead of silently pinning a quieter stream.
+struct PathPin {
+    name: &'static str,
+    config: DcaConfig,
+    strategy: SharedStrategy,
+    digest: &'static str,
+    kinds: &'static [EventKind],
+    /// Whether the path must settle a task by degraded acceptance.
+    degraded: bool,
+}
+
+fn ir(d: usize) -> SharedStrategy {
+    Rc::new(Iterative::new(VoteMargin::new(d).unwrap()))
+}
+
+fn path_pins() -> Vec<PathPin> {
+    // Audits against an adaptive cartel: dormancy after a catch, weighted
+    // strikes into quarantine and blacklist, probation after release,
+    // voided verdicts and re-tallied open tasks (stale replies follow).
+    let mut audit_cartel = DcaConfig::paper_baseline(200, 30, 0.1, SEED);
+    audit_cartel.pool.unresponsive_rate = 0.05;
+    audit_cartel.cartel = Some(CartelConfig {
+        members: 8,
+        lie_rate: 0.5,
+        dormancy_units: 2.0,
+    });
+    audit_cartel.quarantine = Some(QuarantinePolicy {
+        strike_limit: 2,
+        quarantine_units: 3.0,
+        blacklist_after: 3,
+    });
+    audit_cartel.audit = AuditPolicy {
+        spot_rate: 0.3,
+        escalated_rate: 0.5,
+        probation_audits: 2,
+        strike_weight: 2,
+    };
+
+    // A job cap with degraded acceptance: capped tasks settle on their
+    // vote leader with a Bayesian confidence.
+    let mut cap_degraded = DcaConfig::paper_baseline(150, 30, 0.45, SEED);
+    cap_degraded.job_cap = Some(6);
+    cap_degraded.degraded_accept = true;
+
+    // Churn, every fault kind, regional outages, and re-issued timeouts.
+    let mut chaos = DcaConfig::paper_baseline(200, 30, 0.2, SEED);
+    chaos.pool.unresponsive_rate = 0.05;
+    chaos.timeout_policy = TimeoutPolicy::Reissue;
+    chaos.churn = Some(ChurnConfig {
+        leave_rate: 0.4,
+        join_rate: 0.4,
+    });
+    chaos.failure = FailureConfig::RegionalOutages {
+        regions: 3,
+        outage_rate: 0.3,
+        outage_duration: 2.0,
+    };
+    chaos.faults = Some(
+        FaultPlan::new()
+            .crash_at(1.0, 3)
+            .hang_window(2.0, 4.0, 5)
+            .straggler(1.5, 6.0, 7, 8.0)
+            .collusion_burst(3.0, 2.0, 0.4)
+            .blackout(6.0, 1.0),
+    );
+
+    // Hedge twins racing under audits, each paying its own transfer.
+    let mut hedge_audit_net = hedged_golden_config(Assignment::Random);
+    hedge_audit_net.pool.speed_window = (1.0, 3.0);
+    hedge_audit_net.timeout_units = 8.0;
+    hedge_audit_net.audit = AuditPolicy::spot(0.3);
+    hedge_audit_net.network = Some(NetworkConfig {
+        link: LinkSpec {
+            bandwidth: 1_000,
+            latency: SimDuration::from_units(0.1),
+        },
+        payload_bytes: 200,
+    });
+
+    use EventKind as K;
+    vec![
+        PathPin {
+            name: "audit-cartel",
+            config: audit_cartel,
+            strategy: ir(3),
+            digest: GOLDEN_AUDIT_CARTEL,
+            kinds: &[
+                K::AuditScheduled,
+                K::AuditPassed,
+                K::AuditFailed,
+                K::VerdictVoided,
+                K::TaskRetallied,
+                K::EpochAdvanced,
+                K::StaleReplyDropped,
+                K::NodeQuarantined,
+                K::NodeReleased,
+                K::NodeDeparted,
+            ],
+            degraded: false,
+        },
+        PathPin {
+            name: "cap-degraded",
+            config: cap_degraded,
+            strategy: ir(5),
+            digest: GOLDEN_CAP_DEGRADED,
+            kinds: &[K::VerdictReached, K::WaveClosed],
+            degraded: true,
+        },
+        PathPin {
+            name: "churn-faults-outages-reissue",
+            config: chaos,
+            strategy: ir(3),
+            digest: GOLDEN_CHURN_FAULTS,
+            kinds: &[
+                K::FaultInjected,
+                K::NodeDeparted,
+                K::NodeJoined,
+                K::OutageStarted,
+                K::JobTimedOut,
+            ],
+            degraded: false,
+        },
+        PathPin {
+            name: "hedge-audit-network",
+            config: hedge_audit_net,
+            strategy: ir(4),
+            digest: GOLDEN_HEDGE_AUDIT_NET,
+            kinds: &[
+                K::HedgeLaunched,
+                K::HedgeWon,
+                K::HedgeWasted,
+                K::TransferStarted,
+                K::TransferCompleted,
+                K::AuditScheduled,
+                K::JobRetried,
+            ],
+            degraded: false,
+        },
+    ]
+}
+
+const GOLDEN_AUDIT_CARTEL: &str = "c27be09d5419f539";
+const GOLDEN_CAP_DEGRADED: &str = "f08b3ee5682fcffd";
+const GOLDEN_CHURN_FAULTS: &str = "3fdcab98ebd26b84";
+const GOLDEN_HEDGE_AUDIT_NET: &str = "6bd2905cf1983e8c";
+
+fn is_degraded_verdict(e: &Stamped) -> bool {
+    matches!(e.event, RunEvent::VerdictReached { degraded: true, .. })
+}
+
+#[test]
+fn path_pins_match_digests_and_cover_their_paths() {
+    for pin in path_pins() {
+        let run = run_journaled(pin.strategy, &pin.config).unwrap();
+        let journal = &run.journal;
+        for &kind in pin.kinds {
+            assert!(
+                journal.count(kind) > 0,
+                "{}: pinned run emitted no {}",
+                pin.name,
+                kind.name()
+            );
+        }
+        if pin.degraded {
+            assert!(
+                journal.events().iter().any(is_degraded_verdict),
+                "{}: pinned run reached no degraded verdict",
+                pin.name
+            );
+        }
+        jassert::that(journal)
+            .time_ordered()
+            .no_dispatch_to_quarantined();
+        assert_eq!(
+            report_from_journal(journal, &pin.config),
+            run.report,
+            "{}: replayed report drifted from the live report",
+            pin.name
+        );
+        let digest = journal.digest_hex();
+        if digest != pin.digest {
+            let path = dump_artifact(pin.name, journal);
+            panic!(
+                "journal digest drift for {}: expected {}, got {digest} \
+                 ({} events; journal dumped to {path})",
+                pin.name,
+                pin.digest,
+                journal.len()
+            );
+        }
+    }
+}
 
 /// Dumps a journal under `target/journal-artifacts/` so digest mismatches
 /// leave an inspectable artifact (CI uploads the directory on failure).
@@ -342,6 +543,15 @@ fn print_golden_digests() {
             run.journal.digest_hex(),
             run.journal.len(),
             run.report.hedges_launched
+        );
+    }
+    for pin in path_pins() {
+        let run = run_journaled(pin.strategy, &pin.config).unwrap();
+        println!(
+            "{}: {} ({} events)",
+            pin.name,
+            run.journal.digest_hex(),
+            run.journal.len()
         );
     }
 }
