@@ -52,6 +52,7 @@
 //! | [`tally`] | n-ary vote counting with deterministic tie-breaks |
 //! | [`strategy`] | the three techniques plus related-work baselines |
 //! | [`execution`] | the wave-by-wave driver used by every platform |
+//! | [`task`] | the per-task lifecycle (waves, votes, hedges, audits, retries) both simulators drive |
 //! | [`analysis`] | Eqs. 1–6 by multiple independent derivations |
 //! | [`monte_carlo`] | direct stochastic validation of the formulas |
 //! | [`parallel`] | deterministic scoped-thread work pool + counter-based RNG streams |
@@ -79,6 +80,7 @@ pub mod reputation;
 pub mod resilience;
 pub mod strategy;
 pub mod tally;
+pub mod task;
 
 pub use audit::{AuditPolicy, Cartel};
 pub use error::ParamError;

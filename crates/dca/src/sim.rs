@@ -16,22 +16,17 @@
 //!   timeout is indistinguishable from a hang, so it resolves via the
 //!   timeout path.
 
-use std::collections::{HashMap, VecDeque};
-use std::rc::Rc;
-
 use rand::Rng;
 use smartred_core::analysis::confidence::confidence;
 use smartred_core::audit::Cartel;
 use smartred_core::error::ParamError;
-use smartred_core::execution::{TaskExecution, WaveStep};
-use smartred_core::hedge::HedgeTrigger;
 use smartred_core::params::Reliability;
 use smartred_core::resilience::DisciplineAction;
-use smartred_core::strategy::RedundancyStrategy;
+use smartred_core::task::{self, Lifecycle, Reply, Rules, TaskHost};
 use smartred_desim::engine::Simulator;
 use smartred_desim::journal::{DepartureReason, FaultKind, Journal, RunEvent};
 use smartred_desim::network::NetworkModel;
-use smartred_desim::rng::{backoff_duration, seeded_rng, SimRng};
+use smartred_desim::rng::{seeded_rng, SimRng};
 use smartred_desim::time::{SimDuration, SimTime};
 use smartred_desim::trace::Trace;
 
@@ -42,34 +37,7 @@ use crate::metrics::DcaReport;
 use crate::pool::{NodeIndex, NodePool};
 
 /// A shared, immutable redundancy strategy driving every task of a run.
-pub type SharedStrategy = Rc<dyn RedundancyStrategy<bool>>;
-
-/// A task suffers at most this many audit voids: a verdict that
-/// keeps coming back tainted (e.g. a majority cartel with no discipline to
-/// thin it) is eventually accepted as-is rather than looping forever.
-const MAX_TASK_VOIDS: u32 = 4;
-
-struct TaskState {
-    exec: TaskExecution<bool, SharedStrategy>,
-    started_at: Option<SimTime>,
-    used_nodes: Vec<NodeIndex>,
-    shocked: bool,
-    finished: bool,
-    /// Timed-out jobs retried with backoff so far (`retry` policy).
-    retries: u32,
-    /// Recorded `(node, voted_correct)` pairs, kept under a quarantine
-    /// policy (to strike vote-losers at finalization) or an audit policy
-    /// (to identify liars at spot-check time).
-    votes: Vec<(NodeIndex, bool)>,
-    /// Replica attempt, bumped when an audit voids or re-tallies the task;
-    /// in-flight jobs from older attempts resolve as stale replies.
-    attempt: u32,
-    /// Set when a probation-node result landed: the verdict must be
-    /// audited before acceptance regardless of the spot-check draw.
-    must_audit: bool,
-    /// Audit voids suffered so far (see [`MAX_TASK_VOIDS`]).
-    voids: u32,
-}
+pub type SharedStrategy = task::SharedStrategy;
 
 /// Active fault-plan effects, updated by injected events and consulted at
 /// every dispatch/outcome draw. Per-node vectors are indexed by
@@ -120,17 +88,16 @@ impl ChaosState {
 /// The mutable world threaded through every event.
 struct World {
     cfg: DcaConfig,
-    strategy: SharedStrategy,
     pool: NodePool,
-    tasks: Vec<TaskState>,
-    /// Pending job requests (task indices); top-up waves are pushed to the
-    /// front (retry priority), first waves to the back.
-    queue: VecDeque<usize>,
+    /// Every task's lifecycle, the job queue (top-up waves jump it: retry
+    /// priority) and the hedge book.
+    lc: Lifecycle,
+    /// Per-task common-shock draw (`FailureConfig::CommonShock`).
+    shocked: Vec<bool>,
     jobs: JobRegistry,
     rng: SimRng,
     report: DcaReport,
     next_unstarted: usize,
-    unfinished: usize,
     /// Per-region outage end times (empty unless `RegionalOutages` is
     /// configured). Node `i` belongs to region `i % regions.len()`.
     region_down_until: Vec<SimTime>,
@@ -145,17 +112,6 @@ struct World {
     /// Scheduler load trace (`queue_depth`, `idle_nodes`), sampled at every
     /// dispatch and resolution. Recorded only for journaled runs.
     trace: Trace,
-    /// Online latency-quantile trigger for straggler hedging (`cfg.hedge`).
-    hedge: Option<HedgeTrigger>,
-    /// Dispatch time of every job ever registered, indexed by job id —
-    /// feeds the hedge trigger's latency estimator at resolution.
-    dispatched_at: Vec<SimTime>,
-    /// Active hedge pairs, both directions: each member maps to its racing
-    /// partner until the pair dissolves (first resolution).
-    hedge_pair: HashMap<JobId, JobId>,
-    /// Which jobs are hedge twins (mapped to their origin), kept until the
-    /// twin settles as won or wasted.
-    twin_origin: HashMap<JobId, JobId>,
     /// Transfer-charging network model (`cfg.network`); `None` keeps
     /// communication free and the event stream bit-identical to runs
     /// predating the model.
@@ -231,17 +187,25 @@ fn run_inner(
     config.validate()?;
     let mut rng = seeded_rng(config.seed);
     let pool = NodePool::from_config(&config.pool, &mut rng);
+    let rules = Rules {
+        seed: config.seed,
+        timeout_units: config.timeout_units,
+        reissue: config.timeout_policy == TimeoutPolicy::Reissue,
+        job_cap: config.job_cap,
+        retry: config.retry,
+        audit: config.audit,
+        // Vote-loser strikes at finalization read the votes too.
+        keep_votes: config.quarantine.is_some() || config.audit.is_enabled(),
+    };
     let mut world = World {
         cfg: config.clone(),
-        strategy,
         pool,
-        tasks: Vec::with_capacity(config.tasks.min(1 << 20)),
-        queue: VecDeque::new(),
+        lc: Lifecycle::new(strategy, rules, config.hedge, config.tasks),
+        shocked: Vec::with_capacity(config.tasks.min(1 << 20)),
         jobs: JobRegistry::new(),
         rng,
         report: DcaReport::new(),
         next_unstarted: 0,
-        unfinished: config.tasks,
         region_down_until: match config.failure {
             FailureConfig::RegionalOutages { regions, .. } => vec![SimTime::ZERO; regions],
             _ => Vec::new(),
@@ -252,12 +216,6 @@ fn run_inner(
             .map(|c| Cartel::new(c.members as u32, c.lie_rate)),
         cartel_dormant_until: SimTime::ZERO,
         trace: Trace::new(),
-        hedge: config
-            .hedge
-            .map(|p| HedgeTrigger::new(p).expect("hedge policy validated above")),
-        dispatched_at: Vec::new(),
-        hedge_pair: HashMap::new(),
-        twin_origin: HashMap::new(),
         network: config.network.map(|n| NetworkModel::uniform(n.link)),
     };
     let mut sim = Sim::new();
@@ -295,19 +253,31 @@ fn run_inner(
             });
         }
     }
-    pump(&mut world, &mut sim);
+    task::pump(&mut world, &mut sim);
     sim.run(&mut world);
     // Graceful degradation for a starved pool: tasks that never reached a
     // verdict (every node departed/blacklisted with work still queued) are
     // settled on their best-available vote leader.
     if config.degraded_accept {
-        for t in 0..world.tasks.len() {
-            if !world.tasks[t].finished {
+        for t in 0..world.lc.tasks.len() {
+            if !world.lc.tasks[t].finished {
                 accept_degraded(&mut world, &mut sim, t);
             }
         }
     }
     sim.emit(RunEvent::RunEnded);
+    let c = world.lc.counters;
+    let r = &mut world.report;
+    (r.total_jobs, r.busy_node_units, r.timeouts, r.retries) =
+        (c.jobs, c.busy_units, c.timeouts, c.retries);
+    (
+        r.audits,
+        r.audit_failures,
+        r.verdicts_voided,
+        r.tasks_retallied,
+    ) = (c.audits, c.audit_failures, c.verdicts_voided, c.retallied);
+    (r.hedges_launched, r.hedges_won, r.hedges_wasted) =
+        (c.hedges_launched, c.hedges_won, c.hedges_wasted);
     world.report.tasks_stranded =
         config.tasks - world.report.tasks_completed - world.report.tasks_capped;
     world.report.makespan_units = sim.now().as_units();
@@ -329,13 +299,13 @@ fn audit(world: &World) {
     if let Err(violation) = world.pool.check_invariants() {
         panic!("node pool invariant violated: {violation}");
     }
-    let started_unfinished = world.tasks.iter().filter(|t| !t.finished).count();
+    let started_unfinished = world.lc.tasks.iter().filter(|t| !t.finished).count();
     let never_started = world.cfg.tasks - world.next_unstarted;
     assert_eq!(
-        world.unfinished,
+        world.lc.unfinished,
         started_unfinished + never_started,
         "task accounting lost track of {} tasks",
-        world.unfinished as i64 - (started_unfinished + never_started) as i64
+        world.lc.unfinished as i64 - (started_unfinished + never_started) as i64
     );
 }
 
@@ -363,7 +333,7 @@ fn inject_fault(world: &mut World, sim: &mut Sim, event: FaultEvent) {
                 let orphaned = world.pool.depart(node);
                 if let Some(job) = orphaned {
                     // The node vanished mid-job: the server sees a timeout.
-                    resolve_job(world, sim, job, true);
+                    task::resolve(world, sim, job.get(), true);
                 }
             }
         }
@@ -404,105 +374,20 @@ fn inject_fault(world: &mut World, sim: &mut Sim, event: FaultEvent) {
     }
 }
 
-/// Greedily assigns queued jobs to idle nodes and lazily starts new tasks.
-fn pump(world: &mut World, sim: &mut Sim) {
-    loop {
-        if world.pool.idle_count() == 0 {
-            return;
-        }
-        if world.queue.is_empty() && !start_next_task(world, sim) {
-            return;
-        }
-        let mut placed_any = false;
-        for _ in 0..world.queue.len() {
-            if world.pool.idle_count() == 0 {
-                return;
-            }
-            let Some(task) = world.queue.pop_front() else {
-                break;
-            };
-            debug_assert!(
-                !world.tasks[task].finished,
-                "finished task left jobs queued"
-            );
-            let node = world.pool.claim_idle(
-                world.cfg.assignment,
-                &world.tasks[task].used_nodes,
-                &mut world.rng,
-            );
-            match node {
-                Some(node) => {
-                    dispatch_job(world, sim, task, node);
-                    placed_any = true;
-                }
-                None => world.queue.push_back(task),
-            }
-        }
-        if !placed_any && !start_next_task(world, sim) {
-            return;
-        }
-    }
-}
-
 /// Creates the next task, if any remain, and queues its first wave.
 fn start_next_task(world: &mut World, sim: &mut Sim) -> bool {
     if world.next_unstarted >= world.cfg.tasks {
         return false;
     }
     world.next_unstarted += 1;
-    let mut exec = TaskExecution::new(world.strategy.clone());
-    if let Some(cap) = world.cfg.job_cap {
-        exec = exec.with_job_cap(cap);
-    }
     let shocked = match world.cfg.failure {
         FailureConfig::Independent | FailureConfig::RegionalOutages { .. } => false,
         FailureConfig::CommonShock { shock_probability } => world.rng.gen_bool(shock_probability),
     };
-    world.tasks.push(TaskState {
-        exec,
-        started_at: None,
-        used_nodes: Vec::new(),
-        shocked,
-        finished: false,
-        retries: 0,
-        votes: Vec::new(),
-        attempt: 0,
-        must_audit: false,
-        voids: 0,
-    });
-    let t = world.tasks.len() - 1;
-    poll_task(world, sim, t, /* priority = */ false);
+    world.shocked.push(shocked);
+    // The honest value is `true`: a vote's value is whether it was correct.
+    task::open(world, sim, true);
     true
-}
-
-/// Asks a task's strategy what to do next and queues any new wave.
-fn poll_task(world: &mut World, sim: &mut Sim, t: usize, priority: bool) {
-    if world.tasks[t].finished {
-        return;
-    }
-    match world.tasks[t].exec.step_wave() {
-        WaveStep::Wave { wave, jobs } => {
-            sim.emit(RunEvent::WaveOpened {
-                task: t as u32,
-                wave: wave as u32,
-                jobs: jobs as u32,
-            });
-            for _ in 0..jobs {
-                if priority {
-                    world.queue.push_front(t);
-                } else {
-                    world.queue.push_back(t);
-                }
-            }
-        }
-        WaveStep::Verdict(v) => finalize(world, sim, t, Some(v), None),
-        WaveStep::Pending => {}
-        WaveStep::Capped { .. } => {
-            if !(world.cfg.degraded_accept && accept_degraded(world, sim, t)) {
-                finalize(world, sim, t, None, None);
-            }
-        }
-    }
 }
 
 /// Graceful degradation: settles a task on its current vote leader with
@@ -511,7 +396,7 @@ fn poll_task(world: &mut World, sim: &mut Sim, t: usize, priority: bool) {
 /// [`DcaConfig::degraded_accept`]. Returns `false` (task untouched) when
 /// there is no leader to accept.
 fn accept_degraded(world: &mut World, sim: &mut Sim, t: usize) -> bool {
-    let tally = world.tasks[t].exec.tally();
+    let tally = world.lc.tasks[t].exec.tally();
     let Some((&v, a)) = tally.leader() else {
         return false;
     };
@@ -528,205 +413,155 @@ fn accept_degraded(world: &mut World, sim: &mut Sim, t: usize) -> bool {
     let q = confidence(r, a, b);
     world.report.tasks_degraded += 1;
     world.report.degraded_confidence.record(q);
-    finalize(world, sim, t, Some(v), Some(q));
+    task::finalize(world, sim, t, Some(v), Some(q));
     true
 }
 
-/// Records a task's terminal state in the run metrics. `degraded` carries
-/// the Bayesian confidence of a degraded acceptance; `None` means the
-/// verdict (if any) is firm.
-fn finalize(
-    world: &mut World,
-    sim: &mut Sim,
-    t: usize,
-    verdict: Option<bool>,
-    degraded: Option<f64>,
-) {
-    // Audit gate: a *firm* verdict is spot-checked before acceptance.
-    // Degraded acceptances are never audited — they are already flagged as
-    // low-confidence. A voided verdict restarts the task instead of
-    // finishing it.
-    let mut audited = false;
-    if world.cfg.audit.is_enabled() && degraded.is_none() {
-        if let Some(v) = verdict {
-            match spot_check(world, sim, t, v) {
-                SpotCheck::NotSelected => {}
-                SpotCheck::Accepted => audited = true,
-                SpotCheck::Voided => return,
-            }
-        }
+impl TaskHost for World {
+    fn lifecycle(&mut self) -> &mut Lifecycle {
+        &mut self.lc
     }
-    match verdict {
-        Some(v) => sim.emit(RunEvent::VerdictReached {
-            task: t as u32,
-            value: v,
-            degraded: degraded.is_some(),
-            confidence: degraded.unwrap_or(1.0),
-        }),
-        None => sim.emit(RunEvent::TaskCapped { task: t as u32 }),
+
+    fn has_idle(&self) -> bool {
+        self.pool.idle_count() > 0
     }
-    let state = &mut world.tasks[t];
-    debug_assert!(!state.finished);
-    state.finished = true;
-    world.unfinished -= 1;
-    match verdict {
-        Some(v) => {
-            world.report.tasks_completed += 1;
-            if v {
-                world.report.tasks_correct += 1;
-            }
-            world
-                .report
-                .jobs_per_task
-                .record(state.exec.jobs_deployed() as f64);
-            world
-                .report
-                .waves_per_task
-                .record(state.exec.waves() as f64);
-            let started = state.started_at.unwrap_or_else(|| sim.now());
-            world
-                .report
-                .response_time
-                .record(sim.now().since(started).as_units());
-        }
-        None => world.report.tasks_capped += 1,
+
+    fn claim(&mut self, t: usize) -> Option<NodeIndex> {
+        let used = &self.lc.tasks[t].used_nodes;
+        self.pool
+            .claim_idle(self.cfg.assignment, used, &mut self.rng)
     }
-    // Under a quarantine policy, nodes whose vote lost the election earn a
-    // strike: repeated vote-losers are the simulation's stand-in for the
-    // server's result-validation blacklist. An audited task already
-    // charged its liars weighted strikes, so it is exempt.
-    if world.cfg.quarantine.is_some() && !audited {
-        if let Some(v) = verdict {
-            let votes = std::mem::take(&mut world.tasks[t].votes);
-            for (node, voted) in votes {
-                if voted != v {
-                    strike_node(world, sim, node);
+
+    /// Draws the job's outcome and duration (slowed by the node's speed and
+    /// any straggler window) and registers it on the node.
+    fn place(
+        &mut self,
+        now: SimTime,
+        t: usize,
+        node: NodeIndex,
+        epoch: u32,
+    ) -> (usize, Option<f64>) {
+        let outcome = draw_outcome(self, now, t, node);
+        let (lo, hi) = self.cfg.duration_window;
+        let base = if lo == hi {
+            lo
+        } else {
+            self.rng.gen_range(lo..=hi)
+        };
+        let service = base * self.pool.node(node).speed * self.chaos.slow_factor(node, now);
+        let job = self.jobs.dispatch(t, node, outcome, epoch);
+        self.pool.node_mut(node).current_job = Some(job);
+        (
+            job.get(),
+            (outcome != JobOutcome::NoResponse).then_some(service),
+        )
+    }
+
+    /// Charges the job's input transfer when a network model is
+    /// configured, journaling the `TransferStarted`/`TransferCompleted`
+    /// pair; without one communication is free (the legacy event stream,
+    /// bit for bit).
+    fn transfer(&mut self, sim: &mut Sim, job: usize, t: usize, node: NodeIndex) -> SimDuration {
+        let (Some(net), Some(cfg)) = (self.network.as_mut(), self.cfg.network) else {
+            return SimDuration::ZERO;
+        };
+        let start = sim.now();
+        let bytes = cfg.payload_bytes;
+        let eta = net.begin(sim, job as u32, t as u32, node as u32, bytes, |_, _| {});
+        self.report.transfers += 1;
+        self.report.bytes_moved += bytes;
+        eta.since(start)
+    }
+
+    fn take_job(&mut self, job: usize) -> Option<Reply> {
+        self.jobs.resolve(JobId(job)).map(|slot| Reply {
+            task: slot.task,
+            node: slot.node,
+            epoch: slot.attempt,
+            value: slot.outcome == JobOutcome::Correct,
+        })
+    }
+
+    fn is_resolved(&self, job: usize) -> bool {
+        self.jobs.get(JobId(job)).resolved
+    }
+
+    fn release(&mut self, node: NodeIndex) {
+        self.pool.release(node);
+    }
+
+    fn strike(&mut self, sim: &mut Sim, node: NodeIndex) {
+        strike_node(self, sim, node);
+    }
+
+    fn consume_probation(&mut self, node: NodeIndex) -> bool {
+        self.pool.node_mut(node).discipline.consume_probation()
+    }
+
+    fn rng(&mut self) -> &mut SimRng {
+        &mut self.rng
+    }
+
+    fn start_next(&mut self, sim: &mut Sim) -> bool {
+        start_next_task(self, sim)
+    }
+
+    fn capped(&mut self, sim: &mut Sim, t: usize) -> bool {
+        self.cfg.degraded_accept && accept_degraded(self, sim, t)
+    }
+
+    /// The cartel notices a member was caught and lies low for a while.
+    fn liars_caught(&mut self, sim: &mut Sim, liars: &[NodeIndex]) {
+        if let Some(cartel) = self.cfg.cartel {
+            if cartel.dormancy_units > 0.0 && liars.iter().any(|&n| n < cartel.members) {
+                let until = sim.now() + SimDuration::from_units(cartel.dormancy_units);
+                if until > self.cartel_dormant_until {
+                    self.cartel_dormant_until = until;
                 }
             }
         }
     }
-}
 
-/// What the audit layer decided about a would-be firm verdict.
-enum SpotCheck {
-    /// The task was not selected for audit; accept normally.
-    NotSelected,
-    /// The task was audited and the verdict may be accepted (clean, or
-    /// liars caught but outvoted).
-    Accepted,
-    /// The audit voided the verdict; the task has been restarted.
-    Voided,
-}
-
-/// Locally recomputes an audited task and acts on what it finds: liars
-/// earn [`AuditPolicy::strike_weight`](smartred_core::audit::AuditPolicy)
-/// strikes, a caught cartel goes dormant, open tasks the liars touched are
-/// re-tallied, and a verdict the liars actually swung is voided and re-run.
-fn spot_check(world: &mut World, sim: &mut Sim, t: usize, v: bool) -> SpotCheck {
-    let policy = world.cfg.audit;
-    let state = &world.tasks[t];
-    // Escalation is a pure function of the report, so replay agrees.
-    let escalated = world.report.audit_failures > 0;
-    let selected = state.must_audit || policy.selects(world.cfg.seed, t as u64, escalated);
-    if !selected || state.voids >= MAX_TASK_VOIDS {
-        return SpotCheck::NotSelected;
-    }
-    sim.emit(RunEvent::AuditScheduled { task: t as u32 });
-    world.report.audits += 1;
-    // The recomputation itself: in this model a recorded vote *is* the
-    // comparison against the honest value, so the liars are exactly the
-    // wrong-voting returns. Timeouts never recorded a value and cannot be
-    // contradicted.
-    let liars: Vec<NodeIndex> = world.tasks[t]
-        .votes
-        .iter()
-        .filter(|&&(_, voted)| !voted)
-        .map(|&(node, _)| node)
-        .collect();
-    if liars.is_empty() && v {
-        sim.emit(RunEvent::AuditPassed { task: t as u32 });
-        world.tasks[t].must_audit = false;
-        return SpotCheck::Accepted;
-    }
-    // Note: `liars` can be empty with `v == false` when every wrong vote
-    // came from a timeout (CountAsWrong). Nobody can be struck, but the
-    // recomputation still contradicts the verdict, so it is voided below.
-    for &node in &liars {
-        sim.emit(RunEvent::AuditFailed {
-            task: t as u32,
-            node: node as u32,
-        });
-        world.report.audit_failures += 1;
-        strike_node_weighted(world, sim, node, policy.strike_weight);
-    }
-    // The cartel notices a member was caught and lies low for a while.
-    if let Some(cartel_cfg) = world.cfg.cartel {
-        if cartel_cfg.dormancy_units > 0.0 && liars.iter().any(|&n| n < cartel_cfg.members) {
-            let until = sim.now() + SimDuration::from_units(cartel_cfg.dormancy_units);
-            if until > world.cartel_dormant_until {
-                world.cartel_dormant_until = until;
+    fn record_decided(&mut self, sim: &mut Sim, t: usize, verdict: Option<bool>, audited: bool) {
+        let state = &mut self.lc.tasks[t];
+        let Some(v) = verdict else {
+            self.report.tasks_capped += 1;
+            return;
+        };
+        let report = &mut self.report;
+        report.tasks_completed += 1;
+        if v {
+            report.tasks_correct += 1;
+        }
+        report
+            .jobs_per_task
+            .record(state.exec.jobs_deployed() as f64);
+        report.waves_per_task.record(state.exec.waves() as f64);
+        let started = state.started_at.unwrap_or_else(|| sim.now());
+        report
+            .response_time
+            .record(sim.now().since(started).as_units());
+        // Under a quarantine policy, nodes whose vote lost the election earn
+        // a strike: repeated vote-losers are the simulation's stand-in for
+        // the server's result-validation blacklist. An audited task already
+        // charged its liars weighted strikes, so it is exempt.
+        if self.cfg.quarantine.is_some() && !audited {
+            for (node, voted) in std::mem::take(&mut state.votes) {
+                if voted != v {
+                    strike_node(self, sim, node);
+                }
             }
         }
     }
-    // Retaliation: every open task a caught liar touched loses its tally
-    // (the liar's other answers are no more trustworthy than this one).
-    let caught: Vec<NodeIndex> = {
-        let mut c = liars.clone();
-        c.sort_unstable();
-        c.dedup();
-        c
-    };
-    for u in 0..world.tasks.len() {
-        if u == t || world.tasks[u].finished {
-            continue;
-        }
-        if !world.tasks[u]
-            .votes
-            .iter()
-            .any(|&(n, _)| caught.contains(&n))
-        {
-            continue;
-        }
-        sim.emit(RunEvent::TaskRetallied { task: u as u32 });
-        world.report.tasks_retallied += 1;
-        restart_task(world, sim, u);
-    }
-    if v {
-        // Liars caught but outvoted: the verdict stands.
-        return SpotCheck::Accepted;
-    }
-    sim.emit(RunEvent::VerdictVoided { task: t as u32 });
-    world.report.verdicts_voided += 1;
-    world.tasks[t].voids += 1;
-    restart_task(world, sim, t);
-    SpotCheck::Voided
-}
 
-/// Discards a task's tally and restarts it from wave 1 under a new
-/// attempt: queued jobs are purged, in-flight jobs become stale, and the
-/// strategy re-deploys with a fresh budget. The task's `started_at` is
-/// kept — response time spans every attempt.
-fn restart_task(world: &mut World, sim: &mut Sim, t: usize) {
-    let state = &mut world.tasks[t];
-    debug_assert!(!state.finished);
-    state.attempt += 1;
-    state.exec.reset();
-    state.votes.clear();
-    state.must_audit = false;
-    sim.emit(RunEvent::EpochAdvanced {
-        task: t as u32,
-        epoch: state.attempt,
-    });
-    world.queue.retain(|&x| x != t);
-    poll_task(world, sim, t, /* priority = */ true);
-}
-
-/// Charges `weight` strikes at once (an audit-caught lie), applying each
-/// action the policy demands as it lands. No-op without a quarantine
-/// policy, like [`strike_node`].
-fn strike_node_weighted(world: &mut World, sim: &mut Sim, node: NodeIndex, weight: u32) {
-    for _ in 0..weight.max(1) {
-        strike_node(world, sim, node);
+    fn sample_load(&mut self, sim: &Sim) {
+        if sim.journal().is_enabled() {
+            let now = sim.now();
+            self.trace
+                .record(now, "queue_depth", self.lc.queue.len() as f64);
+            self.trace
+                .record(now, "idle_nodes", self.pool.idle_count() as f64);
+        }
     }
 }
 
@@ -760,7 +595,7 @@ fn strike_node(world: &mut World, sim: &mut Sim, node: NodeIndex) {
                             .discipline
                             .begin_probation(world.cfg.audit.probation_audits);
                     }
-                    pump(world, sim);
+                    task::pump(world, sim);
                 },
             );
         }
@@ -774,212 +609,9 @@ fn strike_node(world: &mut World, sim: &mut Sim, node: NodeIndex) {
             if let Some(job) = orphaned {
                 // The blacklisted node's in-flight job (for some other
                 // task) is discarded; the server sees a timeout.
-                resolve_job(world, sim, job, true);
+                task::resolve(world, sim, job.get(), true);
             }
         }
-    }
-}
-
-/// Dispatches one job of `task` on `node` (already claimed from the idle
-/// set): draws its outcome and duration, registers it, and schedules its
-/// resolution event.
-fn dispatch_job(world: &mut World, sim: &mut Sim, task: usize, node: NodeIndex) {
-    let outcome = draw_outcome(world, sim.now(), task, node);
-    let (lo, hi) = world.cfg.duration_window;
-    let base = if lo == hi {
-        lo
-    } else {
-        world.rng.gen_range(lo..=hi)
-    };
-    let duration_units =
-        base * world.pool.node(node).speed * world.chaos.slow_factor(node, sim.now());
-
-    let job = world
-        .jobs
-        .dispatch(task, node, outcome, world.tasks[task].attempt);
-    debug_assert_eq!(world.dispatched_at.len(), job.get());
-    world.dispatched_at.push(sim.now());
-    world.pool.node_mut(node).current_job = Some(job);
-    world.report.total_jobs += 1;
-    let state = &mut world.tasks[task];
-    state.used_nodes.push(node);
-    if state.started_at.is_none() {
-        state.started_at = Some(sim.now());
-    }
-
-    let times_out = outcome == JobOutcome::NoResponse || duration_units > world.cfg.timeout_units;
-    let delay = if times_out {
-        SimDuration::from_units(world.cfg.timeout_units)
-    } else {
-        SimDuration::from_units(duration_units)
-    };
-    // Input transfer precedes service: the job's timeout and hedge clocks
-    // start only once the payload has landed, and the node is busy (and
-    // charged) for the transfer as well as the service window.
-    let lead = charge_transfer(world, sim, job, task, node);
-    world.report.busy_node_units += (lead + delay).as_units();
-    sim.emit(RunEvent::JobDispatched {
-        job: job.get() as u32,
-        task: task as u32,
-        node: node as u32,
-        eta: sim.now() + lead + delay,
-    });
-    if sim.journal().is_enabled() {
-        world
-            .trace
-            .record(sim.now(), "queue_depth", world.queue.len() as f64);
-        world
-            .trace
-            .record(sim.now(), "idle_nodes", world.pool.idle_count() as f64);
-    }
-    sim.schedule_in(lead + delay, move |world, sim| {
-        resolve_job(world, sim, job, times_out);
-    });
-    // Straggler hedging: once the latency estimator is warm, arm a check at
-    // the quantile threshold. An armed check carries the dispatch epoch so
-    // a void/re-tally between arming and firing disarms it — the same
-    // guard that keeps audit re-execution and deadline reissue from
-    // double-firing hedges for one task epoch.
-    if let Some(trigger) = &world.hedge {
-        if let Some(threshold) = trigger.threshold() {
-            if threshold < world.cfg.timeout_units {
-                let epoch = world.tasks[task].attempt;
-                sim.schedule_in(
-                    lead + SimDuration::from_units(threshold),
-                    move |world, sim| {
-                        hedge_check(world, sim, job, task, epoch);
-                    },
-                );
-            }
-        }
-    }
-}
-
-/// Charges `job`'s input transfer to `node` when a network model is
-/// configured, journaling the `TransferStarted`/`TransferCompleted` pair,
-/// and returns the transfer duration (zero without a network — the legacy
-/// free-communication event stream, bit for bit).
-fn charge_transfer(
-    world: &mut World,
-    sim: &mut Sim,
-    job: JobId,
-    task: usize,
-    node: NodeIndex,
-) -> SimDuration {
-    let Some(net) = world.network.as_mut() else {
-        return SimDuration::ZERO;
-    };
-    let bytes = world
-        .cfg
-        .network
-        .expect("network model exists only when configured")
-        .payload_bytes;
-    let start = sim.now();
-    let eta = net.begin(
-        sim,
-        job.get() as u32,
-        task as u32,
-        node as u32,
-        bytes,
-        |_, _| {},
-    );
-    world.report.transfers += 1;
-    world.report.bytes_moved += bytes;
-    eta.since(start)
-}
-
-/// Fires when a dispatched job reaches the hedge threshold still
-/// unresolved: launches a twin of the same logical replica on another
-/// node. The twin bypasses the wave/job accounting entirely — the first
-/// pair member to genuinely resolve supplies the replica's vote and the
-/// loser is discarded.
-fn hedge_check(world: &mut World, sim: &mut Sim, origin: JobId, t: usize, epoch: u32) {
-    if world.jobs.get(origin).resolved || world.tasks[t].finished || world.tasks[t].attempt != epoch
-    {
-        return;
-    }
-    let Some(trigger) = &world.hedge else {
-        return;
-    };
-    let policy = trigger.policy();
-    if world.tasks[t].exec.hedges_launched() >= policy.max_per_task as usize {
-        return;
-    }
-    let Some(node) = world.pool.claim_idle(
-        world.cfg.assignment,
-        &world.tasks[t].used_nodes,
-        &mut world.rng,
-    ) else {
-        // No idle node to duplicate onto: hedging is best-effort.
-        return;
-    };
-    let outcome = draw_outcome(world, sim.now(), t, node);
-    let (lo, hi) = world.cfg.duration_window;
-    let base = if lo == hi {
-        lo
-    } else {
-        world.rng.gen_range(lo..=hi)
-    };
-    let duration_units =
-        base * world.pool.node(node).speed * world.chaos.slow_factor(node, sim.now());
-    let twin = world.jobs.dispatch(t, node, outcome, epoch);
-    debug_assert_eq!(world.dispatched_at.len(), twin.get());
-    world.dispatched_at.push(sim.now());
-    world.pool.node_mut(node).current_job = Some(twin);
-    world.tasks[t].used_nodes.push(node);
-    world.tasks[t].exec.note_hedge();
-    world.report.hedges_launched += 1;
-    world.hedge_pair.insert(origin, twin);
-    world.hedge_pair.insert(twin, origin);
-    world.twin_origin.insert(twin, origin);
-    // The twin's launch event replaces JobDispatched (its busy time is
-    // likewise excluded from `busy_node_units` — hedge cost is tracked by
-    // the hedge counters and `total_cost`, not the utilization metric).
-    sim.emit(RunEvent::HedgeLaunched {
-        job: twin.get() as u32,
-        task: t as u32,
-        origin: origin.get() as u32,
-        epoch,
-    });
-    let times_out = outcome == JobOutcome::NoResponse || duration_units > world.cfg.timeout_units;
-    let delay = if times_out {
-        SimDuration::from_units(world.cfg.timeout_units)
-    } else {
-        SimDuration::from_units(duration_units)
-    };
-    // The twin runs on a different node, so it pays its own input
-    // transfer — hedging under a network model races transfer + service
-    // against the straggler's remaining service.
-    let lead = charge_transfer(world, sim, twin, t, node);
-    sim.schedule_in(lead + delay, move |world, sim| {
-        resolve_job(world, sim, twin, times_out);
-    });
-}
-
-/// Settles a hedge twin exactly once: `won` means its result supplied the
-/// replica's vote; otherwise its work was discarded.
-fn settle_twin(world: &mut World, sim: &mut Sim, twin: JobId, t: usize, won: bool) {
-    let removed = world.twin_origin.remove(&twin);
-    debug_assert!(removed.is_some(), "twin settled twice");
-    if won {
-        world.report.hedges_won += 1;
-        sim.emit(RunEvent::HedgeWon {
-            job: twin.get() as u32,
-            task: t as u32,
-        });
-    } else {
-        world.report.hedges_wasted += 1;
-        sim.emit(RunEvent::HedgeWasted {
-            job: twin.get() as u32,
-            task: t as u32,
-        });
-    }
-}
-
-/// Feeds a genuinely resolved job's latency to the hedge estimator.
-fn observe_latency(world: &mut World, now: SimTime, job: JobId) {
-    if let Some(trigger) = world.hedge.as_mut() {
-        trigger.observe(now.since(world.dispatched_at[job.get()]).as_units());
     }
 }
 
@@ -1007,7 +639,7 @@ fn draw_outcome(world: &mut World, now: SimTime, task: usize, node: NodeIndex) -
         }
     }
     let n = world.pool.node(node);
-    if world.tasks[task].shocked && n.wrong_rate > 0.0 {
+    if world.shocked[task] && n.wrong_rate > 0.0 {
         return JobOutcome::Wrong;
     }
     let u: f64 = world.rng.gen();
@@ -1018,185 +650,6 @@ fn draw_outcome(world: &mut World, now: SimTime, task: usize, node: NodeIndex) -
     } else {
         JobOutcome::Correct
     }
-}
-
-/// Resolves a job: feeds its result (or its timeout) to the task and pumps
-/// the scheduler. Idempotent — late events for already-resolved jobs (e.g.
-/// after a node departure) are ignored.
-fn resolve_job(world: &mut World, sim: &mut Sim, job: JobId, timed_out: bool) {
-    let Some(slot) = world.jobs.resolve(job) else {
-        return;
-    };
-    world.pool.release(slot.node);
-    let t = slot.task;
-    // Hedge-pair bookkeeping: dissolve this job's pairing (if any) up
-    // front so exactly one pair member ever records a vote, a strike, or a
-    // timeout for the shared logical replica.
-    let is_twin = world.twin_origin.contains_key(&job);
-    let partner = world.hedge_pair.remove(&job);
-    if let Some(p) = partner {
-        world.hedge_pair.remove(&p);
-    }
-    let partner_pending = partner.is_some_and(|p| !world.jobs.get(p).resolved);
-    if world.tasks[t].finished {
-        // Other replicas settled the task while this pair raced; any twin
-        // still owes its terminal hedge event.
-        if is_twin {
-            settle_twin(world, sim, job, t, false);
-        }
-    } else if slot.attempt != world.tasks[t].attempt {
-        // The job predates an audit void/re-tally of its task: its
-        // reply (or timeout) belongs to a discarded tally and is
-        // dropped without a vote, a strike, or a retry.
-        if is_twin {
-            settle_twin(world, sim, job, t, false);
-        } else {
-            sim.emit(RunEvent::StaleReplyDropped {
-                job: job.get() as u32,
-                task: t as u32,
-                epoch: world.tasks[t].attempt,
-            });
-        }
-    } else if timed_out {
-        if partner_pending {
-            // Suppressed: the partner is still racing for this replica's
-            // vote, so the lapse charges no timeout, strike, or vote —
-            // the surviving member carries the replica alone.
-            if is_twin {
-                settle_twin(world, sim, job, t, false);
-            }
-        } else {
-            observe_latency(world, sim.now(), job);
-            if is_twin {
-                settle_twin(world, sim, job, t, false);
-            }
-            world.report.timeouts += 1;
-            sim.emit(RunEvent::JobTimedOut {
-                job: job.get() as u32,
-                task: t as u32,
-                node: slot.node as u32,
-            });
-            strike_node(world, sim, slot.node);
-            if !retry_job(world, sim, t) {
-                match world.cfg.timeout_policy {
-                    TimeoutPolicy::CountAsWrong => {
-                        world.tasks[t].exec.record(false);
-                        emit_tally(world, sim, t, false);
-                    }
-                    TimeoutPolicy::Reissue => world.tasks[t].exec.abandon(1),
-                }
-                emit_wave_closed(world, sim, t);
-                poll_task(world, sim, t, /* priority = */ true);
-            }
-        }
-    } else {
-        observe_latency(world, sim.now(), job);
-        if partner_pending {
-            // This copy won the race: cancel the loser and free its node
-            // (its scheduled resolution will find it already resolved).
-            let p = partner.expect("partner_pending implies a partner");
-            let pslot = world.jobs.resolve(p).expect("partner was pending");
-            world.pool.release(pslot.node);
-            if !is_twin {
-                settle_twin(world, sim, p, t, false);
-            }
-        }
-        let correct = slot.outcome == JobOutcome::Correct;
-        sim.emit(RunEvent::JobReturned {
-            job: job.get() as u32,
-            task: t as u32,
-            node: slot.node as u32,
-            value: correct,
-        });
-        if is_twin {
-            settle_twin(world, sim, job, t, true);
-        }
-        world.tasks[t].exec.record(correct);
-        emit_tally(world, sim, t, correct);
-        if world.cfg.quarantine.is_some() || world.cfg.audit.is_enabled() {
-            world.tasks[t].votes.push((slot.node, correct));
-        }
-        if world.cfg.audit.is_enabled()
-            && world
-                .pool
-                .node_mut(slot.node)
-                .discipline
-                .consume_probation()
-        {
-            world.tasks[t].must_audit = true;
-        }
-        emit_wave_closed(world, sim, t);
-        poll_task(world, sim, t, /* priority = */ true);
-    }
-    if sim.journal().is_enabled() {
-        world
-            .trace
-            .record(sim.now(), "queue_depth", world.queue.len() as f64);
-        world
-            .trace
-            .record(sim.now(), "idle_nodes", world.pool.idle_count() as f64);
-    }
-    pump(world, sim);
-}
-
-/// Emits the vote-tally snapshot after a vote landed in task `t`'s tally.
-fn emit_tally(world: &World, sim: &mut Sim, t: usize, value: bool) {
-    if !sim.journal().is_enabled() {
-        return;
-    }
-    let (leader_count, runner_up) = world.tasks[t].exec.leader_counts();
-    sim.emit(RunEvent::VoteTallied {
-        task: t as u32,
-        value,
-        leader_count: leader_count as u32,
-        runner_up: runner_up as u32,
-    });
-}
-
-/// Emits a wave-closed event when task `t`'s current wave has just drained.
-fn emit_wave_closed(world: &World, sim: &mut Sim, t: usize) {
-    if sim.journal().is_enabled() && world.tasks[t].exec.wave_boundary() {
-        sim.emit(RunEvent::WaveClosed {
-            task: t as u32,
-            wave: world.tasks[t].exec.waves() as u32,
-        });
-    }
-}
-
-/// Schedules a backoff-delayed retry of a timed-out job under the retry
-/// policy, if the task has attempts left. Returns whether a retry was
-/// scheduled (in which case the timeout is hidden from the vote).
-fn retry_job(world: &mut World, sim: &mut Sim, t: usize) -> bool {
-    let Some(policy) = world.cfg.retry else {
-        return false;
-    };
-    let attempt = world.tasks[t].retries;
-    if attempt >= policy.max_retries {
-        return false;
-    }
-    world.tasks[t].retries = attempt + 1;
-    world.report.retries += 1;
-    sim.emit(RunEvent::JobRetried {
-        task: t as u32,
-        attempt: attempt + 1,
-    });
-    // Strike the timed-out job from the vote and re-deploy after a
-    // jittered exponential backoff: the delayed poll re-queues one job
-    // with retry priority.
-    world.tasks[t].exec.abandon(1);
-    emit_wave_closed(world, sim, t);
-    let delay = backoff_duration(
-        &mut world.rng,
-        policy.base_units,
-        policy.multiplier,
-        attempt,
-        policy.jitter,
-    );
-    sim.schedule_in(delay, move |world, sim| {
-        poll_task(world, sim, t, /* priority = */ true);
-        pump(world, sim);
-    });
-    true
 }
 
 /// Schedules the next regional outage (Poisson process): a random region
@@ -1212,7 +665,7 @@ fn schedule_outage(world: &mut World, sim: &mut Sim) {
     };
     let delay = exponential_delay(&mut world.rng, outage_rate);
     sim.schedule_in(delay, move |world, sim| {
-        if world.unfinished == 0 {
+        if world.lc.unfinished == 0 {
             return;
         }
         let region = world.rng.gen_range(0..world.region_down_until.len());
@@ -1238,7 +691,7 @@ fn schedule_departure(world: &mut World, sim: &mut Sim) {
     let rate = world.cfg.churn.expect("churn configured").leave_rate;
     let delay = exponential_delay(&mut world.rng, rate);
     sim.schedule_in(delay, |world, sim| {
-        if world.unfinished == 0 {
+        if world.lc.unfinished == 0 {
             return; // computation over; stop the churn process
         }
         if let Some(idx) = world.pool.random_alive(&mut world.rng) {
@@ -1250,7 +703,7 @@ fn schedule_departure(world: &mut World, sim: &mut Sim) {
             });
             if let Some(job) = orphaned {
                 // The node vanished mid-job: the server sees a timeout.
-                resolve_job(world, sim, job, true);
+                task::resolve(world, sim, job.get(), true);
             }
         }
         schedule_departure(world, sim);
@@ -1262,20 +715,22 @@ fn schedule_arrival(world: &mut World, sim: &mut Sim) {
     let rate = world.cfg.churn.expect("churn configured").join_rate;
     let delay = exponential_delay(&mut world.rng, rate);
     sim.schedule_in(delay, |world, sim| {
-        if world.unfinished == 0 {
+        if world.lc.unfinished == 0 {
             return;
         }
         let pool_cfg = world.cfg.pool;
         let idx = world.pool.spawn_node(&pool_cfg, &mut world.rng);
         world.report.arrivals += 1;
         sim.emit(RunEvent::NodeJoined { node: idx as u32 });
-        pump(world, sim);
+        task::pump(world, sim);
         schedule_arrival(world, sim);
     });
 }
 
 #[cfg(test)]
 mod tests {
+    use std::rc::Rc;
+
     use super::*;
     use smartred_core::analysis;
     use smartred_core::params::{KVotes, Reliability, VoteMargin};
