@@ -1498,26 +1498,35 @@ pub mod assert {
         }
 
         /// Built-in invariant: no job is dispatched to a node that is
-        /// currently quarantined. Walks the stream maintaining the
-        /// quarantine set (quarantine opens it; release or permanent
-        /// departure closes it).
+        /// currently quarantined or has departed. Walks the stream
+        /// maintaining the quarantine set (quarantine opens it, release
+        /// closes it) and the departed set, which never closes: node ids
+        /// are never reused, and a blacklisted node never returns.
         pub fn no_dispatch_to_quarantined(&self) -> &Self {
             let mut quarantined = std::collections::HashSet::new();
+            let mut departed = std::collections::HashSet::new();
             for e in self.events {
                 match e.event {
                     RunEvent::NodeQuarantined { node } => {
                         quarantined.insert(node);
                     }
-                    RunEvent::NodeReleased { node } | RunEvent::NodeDeparted { node, .. } => {
+                    RunEvent::NodeReleased { node } => {
                         quarantined.remove(&node);
                     }
+                    RunEvent::NodeDeparted { node, .. } => {
+                        departed.insert(node);
+                    }
                     RunEvent::JobDispatched { node, task, .. } => {
-                        assert!(
-                            !quarantined.contains(&node),
-                            "job for task {task} dispatched to quarantined node {node} \
-                             at {} (seq {})",
-                            e.at,
-                            e.seq
+                        let state = if departed.contains(&node) {
+                            "departed"
+                        } else if quarantined.contains(&node) {
+                            "quarantined"
+                        } else {
+                            continue;
+                        };
+                        panic!(
+                            "job for task {task} dispatched to {state} node {node} at {} (seq {})",
+                            e.at, e.seq
                         );
                     }
                     _ => {}
@@ -2243,6 +2252,33 @@ mod tests {
                 task: 0,
                 node: 4,
                 eta: t(2.0),
+            },
+        );
+        assert::that(&j).no_dispatch_to_quarantined();
+    }
+
+    #[test]
+    #[should_panic(expected = "dispatched to departed node")]
+    fn dispatch_to_departed_node_is_caught_after_a_release() {
+        // A node blacklisted while quarantined stays barred even when the
+        // quarantine's release fires afterwards.
+        let mut j = Journal::new();
+        j.record(t(0.0), RunEvent::NodeQuarantined { node: 4 });
+        j.record(
+            t(0.5),
+            RunEvent::NodeDeparted {
+                node: 4,
+                reason: DepartureReason::Blacklist,
+            },
+        );
+        j.record(t(1.0), RunEvent::NodeReleased { node: 4 });
+        j.record(
+            t(2.0),
+            RunEvent::JobDispatched {
+                job: 0,
+                task: 0,
+                node: 4,
+                eta: t(3.0),
             },
         );
         assert::that(&j).no_dispatch_to_quarantined();

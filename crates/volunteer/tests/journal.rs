@@ -5,6 +5,7 @@
 
 use std::rc::Rc;
 
+use smartred_core::audit::{AuditPolicy, Cartel};
 use smartred_core::params::{KVotes, VoteMargin};
 use smartred_core::resilience::{QuarantinePolicy, RetryPolicy};
 use smartred_core::strategy::{Iterative, Traditional};
@@ -260,4 +261,28 @@ fn reissue_timeouts_are_followed_by_redeployment() {
         )
         .count(EventKind::JobRetried)
         .exactly(0);
+}
+
+#[test]
+fn blacklisted_hosts_stay_out_of_the_scheduler_under_audits() {
+    // Audit strikes land on hosts that are already quarantined: one that is
+    // blacklisted mid-quarantine must not come back when the quarantine's
+    // release fires, and must not be blacklisted a second time.
+    let mut cfg = VolunteerConfig::paper_deployment(10, 0);
+    cfg.hosts = 30;
+    cfg.tasks = 200;
+    cfg.profile.unresponsive_rate = 0.3;
+    cfg.quarantine = Some(QuarantinePolicy::default());
+    cfg.audit = AuditPolicy::spot(0.3);
+    cfg.cartel = Some(Cartel::new(8, 0.5));
+    let strategy: SharedStrategy = Rc::new(Iterative::new(VoteMargin::new(3).unwrap()));
+    let (report, journal) = run_journaled(strategy, &cfg).unwrap();
+    assert!(report.blacklisted > 0, "the run must reach the blacklist");
+    assert!(
+        report.blacklisted <= cfg.hosts as u64,
+        "{} blacklistings among {} hosts",
+        report.blacklisted,
+        cfg.hosts
+    );
+    jassert::that(&journal).no_dispatch_to_quarantined();
 }
