@@ -379,6 +379,150 @@ fn recovery_rejects_missing_wal_roster_gaps_and_interior_corruption() {
     let _ = std::fs::remove_file(&wal);
 }
 
+/// The WAL is outside input: a log that contradicts the deterministic
+/// strategy replay is refused as `Corrupt`, never patched. Each case edits
+/// a golden prefix into one such log; the unedited prefix recovers, so the
+/// edit alone causes the refusal.
+#[test]
+fn replay_refuses_every_log_the_strategy_contradicts() {
+    quiet_injected_panics();
+    let tasks = roster(6);
+    let (golden, _) = run_roster(chaos_cfg(None), &tasks);
+    let events = golden.journal.events();
+    let opened = events
+        .iter()
+        .position(|e| matches!(e.event, RunEvent::WaveOpened { .. }))
+        .expect("the golden run opens a wave");
+    let RunEvent::WaveOpened { task, wave, jobs } = events[opened].event else {
+        unreachable!()
+    };
+    let (decided, decided_task) = events
+        .iter()
+        .enumerate()
+        .find_map(|(i, e)| match e.event {
+            RunEvent::VerdictReached { task, .. }
+            | RunEvent::TaskCapped { task }
+            | RunEvent::TaskPoisoned { task, .. } => Some((i, task)),
+            _ => None,
+        })
+        .expect("the golden run decides a task");
+    // A task id no event of the log ever opened, and job ids past every
+    // logged one.
+    let ghost = 1_000;
+    let fresh = 10_000;
+    let eta = events[opened].at;
+    let dispatch = |job: u32, task: u32| RunEvent::JobDispatched {
+        job,
+        task,
+        node: 0,
+        eta,
+    };
+    // (case, golden events kept, edited events appended after them)
+    let cases: Vec<(&str, usize, Vec<RunEvent>)> = vec![
+        (
+            "wave opened for a decided task",
+            decided + 1,
+            vec![RunEvent::WaveOpened {
+                task: decided_task,
+                wave: 1,
+                jobs,
+            }],
+        ),
+        (
+            "wave with a job count the strategy would not open",
+            opened,
+            vec![RunEvent::WaveOpened {
+                task,
+                wave,
+                jobs: jobs + 1,
+            }],
+        ),
+        (
+            "wave number the strategy would not open",
+            opened,
+            vec![RunEvent::WaveOpened {
+                task,
+                wave: wave + 1,
+                jobs,
+            }],
+        ),
+        (
+            "job dispatched for an unknown task",
+            opened + 1,
+            vec![dispatch(fresh, ghost)],
+        ),
+        (
+            "job dispatched beyond the opened replicas",
+            opened + 1,
+            (0..=jobs).map(|i| dispatch(fresh + i, task)).collect(),
+        ),
+        (
+            "job returned for an unknown task",
+            opened + 1,
+            vec![RunEvent::JobReturned {
+                job: fresh,
+                task: ghost,
+                node: 0,
+                value: true,
+            }],
+        ),
+        (
+            "job timed out for an unknown task",
+            opened + 1,
+            vec![RunEvent::JobTimedOut {
+                job: fresh,
+                task: ghost,
+                node: 0,
+            }],
+        ),
+        (
+            "verdict voided for an unknown task",
+            opened + 1,
+            vec![RunEvent::VerdictVoided { task: ghost }],
+        ),
+        (
+            "task re-tallied for an unknown task",
+            opened + 1,
+            vec![RunEvent::TaskRetallied { task: ghost }],
+        ),
+    ];
+
+    let wal = wal_path("refusals");
+    let recover = |kept: usize, edits: &[RunEvent]| {
+        let mut log = Journal::new();
+        for e in &events[..kept] {
+            log.record(e.at, e.event);
+        }
+        let at = log.events().last().map_or(eta, |e| e.at);
+        for &event in edits {
+            log.record(at, event);
+        }
+        std::fs::write(&wal, log.to_jsonl()).unwrap();
+        Runtime::recover(
+            chaos_cfg(Some(wal.clone())),
+            Iterative::new(VoteMargin::new(MARGIN).unwrap()),
+            |_| Box::new(FaultyWorker::new(SEED, chaos_profile())) as Box<dyn Worker>,
+            &tasks,
+        )
+        .map(|(runtime, client, _)| {
+            drop(client);
+            runtime.finish()
+        })
+    };
+    for (case, kept, edits) in &cases {
+        let control = recover(*kept, &[]).unwrap_or_else(|err| {
+            panic!("{case}: the unedited {kept}-event prefix must recover, got {err:?}")
+        });
+        assert!(!control.crashed, "{case}: control run crashed");
+        match recover(*kept, edits) {
+            Err(RecoveryError::Corrupt(_)) => {}
+            Err(err) => panic!("{case}: expected Corrupt, got {err:?}"),
+            Ok(_) => panic!("{case}: recovery accepted the edited log"),
+        }
+    }
+    let _ = std::fs::remove_file(&wal);
+}
+
 /// Worker panics are caught and healed in place: with a never-poisoning
 /// policy, a heavily crash-prone pool still completes every task, one
 /// restart per caught panic, and the journal folds to the live report.
