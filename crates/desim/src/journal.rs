@@ -22,7 +22,7 @@
 //! * [`Journal::to_jsonl`] / [`Journal::from_jsonl`] round-trip the stream
 //!   losslessly for capture, replay, and offline analysis.
 //!
-//! See the [`assert`] submodule for the trace-assertion DSL built on top.
+//! See the [`assert`](mod@assert) submodule for the trace-assertion DSL built on top.
 //!
 //! # Examples
 //!

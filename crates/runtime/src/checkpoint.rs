@@ -32,13 +32,13 @@
 //! The snapshot format is deterministic line-based text with a trailing
 //! FNV-1a checksum, so a damaged snapshot is detected at load, never
 //! deserialized into wrong state.
+//!
+//! [`RunEvent::CheckpointTaken`]: smartred_desim::journal::RunEvent::CheckpointTaken
 
-use std::collections::HashMap;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use smartred_core::resilience::NodeDiscipline;
 use smartred_desim::journal::fnv1a_64;
 use smartred_desim::time::SimTime;
 use smartred_stats::Summary;
@@ -76,7 +76,8 @@ pub(crate) struct CheckpointState {
     /// Active quarantines as `(node, release stamp micros)`, sorted.
     pub quarantines: Vec<(u32, u64)>,
     /// Per-node strike state as `(node, parts)` via
-    /// [`NodeDiscipline::to_parts`], sorted.
+    /// [`NodeDiscipline::to_parts`](smartred_core::resilience::NodeDiscipline::to_parts),
+    /// sorted.
     pub discipline: Vec<(u32, (u32, u32, u64, u32))>,
     /// The live report at the checkpoint, bit-exact: counters plus the
     /// Welford summaries, so `snapshot + suffix fold == full fold`.
@@ -324,14 +325,6 @@ impl CheckpointState {
             discipline,
             report,
         })
-    }
-
-    /// The per-node discipline map the suffix replay starts from.
-    pub fn discipline_map(&self) -> HashMap<u32, NodeDiscipline> {
-        self.discipline
-            .iter()
-            .map(|&(node, (s, q, last, p))| (node, NodeDiscipline::from_parts(s, q, last, p)))
-            .collect()
     }
 }
 

@@ -15,13 +15,15 @@
 //! When [`RuntimeConfig::wal`] is set, every journal record is durably
 //! appended (flushed, and fsync'd under [`RuntimeConfig::wal_sync`])
 //! *before* the coordinator acts on it — in particular before a verdict
-//! is sent or a wave's replicas are queued. [`Runtime::recover`] replays
-//! the surviving WAL prefix (tolerating a torn final record) into a fresh
-//! coordinator that resumes exactly where the dead one stopped: decided
-//! tasks are never re-run or re-delivered, in-flight jobs are re-armed
-//! without new journal records, and replica indices — and hence the
-//! deterministic fault draws keyed by `(seed, task, replica)` — are
-//! preserved.
+//! is sent or a wave's replicas are queued — and then applies it to its
+//! durable state through one function, the same one [`Runtime::recover`]
+//! feeds the surviving WAL prefix (tolerating a torn final record)
+//! through. The recovered coordinator resumes exactly where the dead one
+//! stopped: it first performs whatever the interrupted handler still
+//! owed, decided tasks are never re-run or re-delivered, in-flight jobs
+//! are re-armed without new journal records, and replica indices — and
+//! hence the deterministic fault draws keyed by `(seed, task, replica)` —
+//! are preserved.
 //!
 //! ## Supervision and epochs
 //!
@@ -64,7 +66,7 @@ use smartred_desim::journal::{DepartureReason, Journal, RunEvent, WalWriter};
 use smartred_desim::time::{SimDuration, SimTime};
 
 use crate::checkpoint::{checkpoint_path, CheckpointState};
-use crate::recovery::{self, RecoveryError, RecoveryReport};
+use crate::recovery::{RecoveryError, RecoveryReport};
 use crate::report::{fold_into, report_from_journal, RuntimeReport};
 use crate::worker::{JobAssignment, JobResult, PoolEvent, Worker, WorkerPool};
 use crate::workload::Payload;
@@ -437,77 +439,18 @@ impl Runtime {
         S: RedundancyStrategy<bool> + Send + Sync + 'static,
         F: Fn(u32) -> Box<dyn Worker> + Send + Sync + 'static,
     {
-        let journal = if cfg.journal || cfg.wal.is_some() {
-            Journal::new()
-        } else {
-            Journal::disabled()
-        };
         let wal = cfg
             .wal
             .as_ref()
             .map(|p| build_wal(p, &cfg).expect("create WAL file"));
-        let RuntimeParts {
-            worker_count,
-            pool,
-            submit_tx,
-            submit_rx,
-            result_rx,
-            active,
-            crashed,
-            max_active,
-        } = RuntimeParts::build(&cfg, Arc::new(make_worker));
-        // Per-node vectors are indexed by *global* node id, so they span
-        // `0..node_base + worker_count`; slots below the base belong to
-        // other shards and stay untouched defaults.
-        let node_span = cfg.node_base as usize + worker_count;
-        let coordinator = Coordinator {
-            journal,
-            wal,
-            strategy: Arc::new(strategy),
-            time_base: 0,
-            report: RuntimeReport::new(),
-            tasks: HashMap::new(),
-            jobs: HashMap::new(),
-            deadlines: BinaryHeap::new(),
-            pending: VecDeque::new(),
-            rearm: VecDeque::new(),
-            seeded: VecDeque::new(),
-            resume: Vec::new(),
-            next_job: 0,
-            draining: false,
-            events_logged: 0,
-            crashed: false,
-            decided: HashSet::new(),
-            last_ckpt_events: 0,
-            incarnations: vec![0; node_span],
-            discipline: vec![NodeDiscipline::default(); node_span],
-            quarantined_until: vec![None; node_span],
-            blacklisted: vec![false; node_span],
-            escalated: false,
-            hedge: cfg
-                .hedge
-                .map(|p| HedgeTrigger::new(p).expect("invalid hedge policy")),
-            hedge_checks: BinaryHeap::new(),
-            hedge_pair: HashMap::new(),
-            twin_origin: HashMap::new(),
-            worker_loads: vec![0; node_span],
-            assign_cursor: cfg.node_base,
-            cfg,
-            pool,
-            submit_rx,
-            result_rx,
-            start: Instant::now(),
-            active: active.clone(),
-            crashed_flag: crashed.clone(),
+        let journal = if cfg.journal || wal.is_some() {
+            Journal::new()
+        } else {
+            Journal::disabled()
         };
-        spawn_runtime(
-            coordinator,
-            submit_tx,
-            active,
-            crashed,
-            max_active,
-            Arc::new(AtomicU32::new(0)),
-        )
+        let (coordinator, submit_tx) =
+            Coordinator::new(cfg, strategy, Arc::new(make_worker), journal, wal);
+        spawn_runtime(coordinator, submit_tx, 0)
     }
 
     /// Restarts a crashed run from its write-ahead log.
@@ -646,8 +589,6 @@ impl Runtime {
             None => None,
         };
 
-        let strategy = Arc::new(strategy);
-        let rebuilt = recovery::rebuild(&prefix.journal, &cfg, &strategy, base.as_ref())?;
         let mut wal = WalWriter::resume(&path, prefix.valid_bytes as u64, cfg.wal_sync)?
             .with_batch(cfg.wal_batch)
             .with_checksums(cfg.wal_checksum);
@@ -667,118 +608,6 @@ impl Runtime {
             wal.append(entry)?;
             wal.commit()?;
         }
-
-        let RuntimeParts {
-            worker_count,
-            mut pool,
-            submit_tx,
-            submit_rx,
-            result_rx,
-            active,
-            crashed,
-            max_active,
-        } = RuntimeParts::build(&cfg, Arc::new(make_worker));
-        let node_span = cfg.node_base as usize + worker_count;
-
-        let mut tasks = HashMap::new();
-        let mut rearm: VecDeque<(u32, u32, u32, u32)> = VecDeque::new();
-        let mut pending = VecDeque::new();
-        let mut resume = Vec::new();
-        let tasks_decided = rebuilt.decided.len();
-        for (task, rt) in rebuilt.open {
-            let payload = roster
-                .iter()
-                .find(|(id, _)| *id == task)
-                .map(|(_, p)| Arc::new(p.clone()))
-                .ok_or_else(|| {
-                    RecoveryError::Corrupt(format!("open task {task} missing from roster"))
-                })?;
-            for &(job, replica) in &rt.in_flight {
-                rearm.push_back((job, task, replica, rt.epoch));
-            }
-            for replica in rt.dispatched..rt.replicas {
-                pending.push_back((task, replica));
-            }
-            resume.push((task, rt.unclosed_wave));
-            tasks.insert(
-                task,
-                TaskState {
-                    exec: rt.exec,
-                    payload,
-                    verdict_tx: verdict_tx.clone(),
-                    replicas: rt.replicas,
-                    timeouts: rt.timeouts,
-                    first_dispatch: rt.first_dispatch,
-                    answers: [None, None],
-                    live_jobs: rt.in_flight.iter().map(|&(j, _)| j).collect(),
-                    epoch: rt.epoch,
-                    poison: rt.poison,
-                    returns: rt.returns,
-                    must_audit: rt.must_audit,
-                },
-            );
-        }
-        recovery::sort_rearm(&mut rearm);
-        let jobs_rearmed = rearm.len();
-        let tasks_resumed = tasks.len();
-        resume.sort_unstable();
-
-        // Replicas parked before the crash dispatch in task order — the
-        // same order a drain would have processed them.
-        let mut pending: Vec<(u32, u32)> = pending.into_iter().collect();
-        pending.sort_unstable();
-        let pending: VecDeque<(u32, u32)> = pending.into_iter().collect();
-
-        // Roster entries the WAL never saw are admitted fresh, under
-        // their original ids, ahead of any new submissions.
-        let mut seeded = VecDeque::new();
-        for (task, payload) in roster {
-            if rebuilt.decided.contains(task) || tasks.contains_key(task) {
-                continue;
-            }
-            seeded.push_back(Submission {
-                task: *task,
-                payload: Arc::new(payload.clone()),
-                verdict_tx: verdict_tx.clone(),
-            });
-        }
-        let tasks_seeded = seeded.len();
-
-        let mut discipline = vec![NodeDiscipline::default(); node_span];
-        let mut incarnations = vec![0u32; node_span];
-        let mut quarantined_until = vec![None; node_span];
-        let mut blacklisted = vec![false; node_span];
-        for (node, d) in rebuilt.discipline {
-            if let Some(slot) = discipline.get_mut(node as usize) {
-                *slot = d;
-            }
-        }
-        for (node, inc) in rebuilt.incarnations {
-            if let Some(slot) = incarnations.get_mut(node as usize) {
-                *slot = inc;
-            }
-        }
-        for (node, until) in rebuilt.quarantined_until {
-            if pool.node_ids().contains(&node) {
-                quarantined_until[node as usize] = Some(until);
-                pool.set_enabled(node, false);
-            }
-        }
-        for node in rebuilt.blacklisted {
-            if pool.node_ids().contains(&node) {
-                blacklisted[node as usize] = true;
-                pool.set_enabled(node, false);
-            }
-        }
-
-        let max_roster = roster.iter().map(|&(id, _)| id).max();
-        let next_task = rebuilt
-            .max_task
-            .into_iter()
-            .chain(max_roster)
-            .max()
-            .map_or(0, |m| m + 1);
-
         let report = match &base {
             Some(snap) => {
                 // Snapshot + suffix fold: checkpoints happen only at
@@ -791,70 +620,42 @@ impl Runtime {
             }
             None => report_from_journal(&journal),
         };
-        let escalated = report.audit_failures > 0;
-        let time_base = rebuilt.last_at.as_micros();
-        let last_ckpt_events = journal.next_seq();
-        active.store(tasks.len(), Ordering::Relaxed);
 
-        let coordinator = Coordinator {
-            journal,
-            wal: Some(wal),
-            strategy,
-            time_base,
-            report,
-            tasks,
-            jobs: HashMap::new(),
-            deadlines: BinaryHeap::new(),
-            pending,
-            rearm,
-            seeded,
-            resume,
-            next_job: rebuilt.next_job,
-            draining: false,
-            events_logged: 0,
-            crashed: false,
-            decided: rebuilt.decided,
-            last_ckpt_events,
-            incarnations,
-            discipline,
-            quarantined_until,
-            blacklisted,
-            escalated,
-            hedge: cfg
-                .hedge
-                .map(|p| HedgeTrigger::new(p).expect("invalid hedge policy")),
-            hedge_checks: BinaryHeap::new(),
-            hedge_pair: HashMap::new(),
-            twin_origin: HashMap::new(),
-            worker_loads: vec![0; node_span],
-            assign_cursor: cfg.node_base,
+        // Repeat history: build the coordinator exactly as `start` does,
+        // restore what a checkpoint compacted away, then apply every
+        // logged event through the transitions the dead coordinator
+        // applied when it logged them.
+        let (mut coordinator, submit_tx) = Coordinator::new(
             cfg,
-            pool,
-            submit_rx,
-            result_rx,
-            start: Instant::now(),
-            active: active.clone(),
-            crashed_flag: crashed.clone(),
-        };
+            strategy,
+            Arc::new(make_worker),
+            Journal::new(),
+            Some(wal),
+        );
+        let mut last_at = SimTime::ZERO;
+        if let Some(snap) = &base {
+            coordinator.seed(snap);
+            last_at = snap.last_at;
+        }
+        for e in journal.events() {
+            coordinator.apply(e.at, e.event)?;
+            last_at = e.at;
+        }
+        coordinator.journal = journal;
+        coordinator.report = report;
+        coordinator.time_base = last_at.as_micros();
+        let (next_task, rearmed) = coordinator.resume(roster, verdict_tx)?;
         let report = RecoveryReport {
             torn_tail: prefix.torn,
             events_replayed,
             checkpoint_events: base.as_ref().map_or(0, |s| s.events),
-            tasks_resumed,
-            tasks_decided,
-            tasks_seeded,
-            jobs_rearmed,
+            tasks_resumed: coordinator.resume.len(),
+            tasks_decided: coordinator.decided.len(),
+            tasks_seeded: coordinator.seeded.len(),
+            jobs_rearmed: rearmed,
             report: coordinator.report.clone(),
         };
-        let runtime = spawn_runtime(
-            coordinator,
-            submit_tx,
-            active,
-            crashed,
-            max_active,
-            Arc::new(AtomicU32::new(next_task)),
-        );
-        Ok((runtime, report))
+        Ok((spawn_runtime(coordinator, submit_tx, next_task), report))
     }
 
     /// Creates a submission handle.
@@ -896,47 +697,6 @@ impl Runtime {
     }
 }
 
-/// The shared channel/pool scaffolding of [`Runtime::start`] and
-/// [`Runtime::recover`].
-struct RuntimeParts {
-    worker_count: usize,
-    pool: WorkerPool,
-    submit_tx: SyncSender<ClientOp>,
-    submit_rx: Receiver<ClientOp>,
-    result_rx: Receiver<PoolEvent>,
-    active: Arc<AtomicUsize>,
-    crashed: Arc<AtomicBool>,
-    max_active: usize,
-}
-
-impl RuntimeParts {
-    fn build(
-        cfg: &RuntimeConfig,
-        make_worker: Arc<dyn Fn(u32) -> Box<dyn Worker> + Send + Sync>,
-    ) -> Self {
-        let worker_count = cfg.workers.unwrap_or_else(|| Threads::Auto.get()).max(1);
-        let (submit_tx, submit_rx) = mpsc::sync_channel(cfg.queue_cap.max(1));
-        let (result_tx, result_rx) = mpsc::channel();
-        let pool = WorkerPool::spawn(
-            worker_count,
-            cfg.node_base,
-            cfg.inbox_cap,
-            result_tx,
-            make_worker,
-        );
-        Self {
-            worker_count,
-            pool,
-            submit_tx,
-            submit_rx,
-            result_rx,
-            active: Arc::new(AtomicUsize::new(0)),
-            crashed: Arc::new(AtomicBool::new(false)),
-            max_active: cfg.max_active.max(1),
-        }
-    }
-}
-
 /// Builds the WAL writer of a fresh run: the real file, or a
 /// fault-injecting [`FaultyDisk`] under it when
 /// [`RuntimeConfig::disk_faults`] is set, with the configured group-commit
@@ -959,11 +719,11 @@ fn build_wal(path: &std::path::Path, cfg: &RuntimeConfig) -> std::io::Result<Wal
 fn spawn_runtime<S: RedundancyStrategy<bool> + Send + Sync + 'static>(
     coordinator: Coordinator<S>,
     submit_tx: SyncSender<ClientOp>,
-    active: Arc<AtomicUsize>,
-    crashed: Arc<AtomicBool>,
-    max_active: usize,
-    next_task: Arc<AtomicU32>,
+    next_task: u32,
 ) -> Runtime {
+    let active = coordinator.active.clone();
+    let crashed = coordinator.crashed_flag.clone();
+    let max_active = coordinator.cfg.max_active.max(1);
     let handle = std::thread::Builder::new()
         .name("smartred-coordinator".into())
         .spawn(move || coordinator.run())
@@ -971,7 +731,7 @@ fn spawn_runtime<S: RedundancyStrategy<bool> + Send + Sync + 'static>(
     Runtime {
         submit_tx: Some(submit_tx),
         handle,
-        next_task,
+        next_task: Arc::new(AtomicU32::new(next_task)),
         active,
         counters: Arc::new(AdmissionCounters::default()),
         max_active,
@@ -979,32 +739,64 @@ fn spawn_runtime<S: RedundancyStrategy<bool> + Send + Sync + 'static>(
     }
 }
 
-/// Per-task redundancy state.
+/// Per-task redundancy state. Every field above `client` is durable: only
+/// [`Coordinator::apply`] changes it, so replaying the WAL rebuilds it.
 struct TaskState<S> {
     exec: TaskExecution<bool, Arc<S>>,
-    payload: Arc<Payload>,
-    verdict_tx: Sender<TaskVerdict>,
-    /// Replica indices issued so far (reissues advance it).
+    /// Replica indices issued (Σ opened wave sizes).
     replicas: u32,
+    /// Replica ordinal of the next dispatch. A void/re-tally jumps it to
+    /// `replicas`, burning the purged ordinals, so fault draws never
+    /// repeat across attempts.
+    next_replica: u32,
+    /// Dispatched, unresolved replicas as `(job, replica)`, in dispatch
+    /// order — what recovery re-arms.
+    in_flight: Vec<(u32, u32)>,
     /// Timeouts charged so far (1-based retry attempts).
     timeouts: u32,
-    first_dispatch: Option<SimTime>,
-    /// Last answer reported by a `false`-vote (index 0) / `true`-vote
-    /// (index 1) replica, for verdict delivery.
-    answers: [Option<bool>; 2],
-    /// Dispatched, unresolved job ids.
-    live_jobs: Vec<u32>,
+    /// Worker-crash charges toward the poison limit.
+    poison: TaskDiscipline,
     /// Replica epoch: bumped when in-flight jobs are re-dispatched, so
     /// replies from the superseded dispatch are rejected as stale.
     epoch: u32,
-    /// Worker-crash charges toward the poison limit.
-    poison: TaskDiscipline,
+    first_dispatch: Option<SimTime>,
     /// Every tallied return as `(job, node, vote)`, the audit layer's
     /// evidence: which node claimed what. Cleared on void/re-tally.
     returns: Vec<(u32, u32, bool)>,
     /// Set when a probationary node (fresh out of quarantine) contributed
     /// a result: the verdict must be audited regardless of the spot draw.
     must_audit: bool,
+    /// The last wave whose `WaveClosed` is logged.
+    closed_wave: u32,
+    /// The submitter's payload and verdict channel: attached at
+    /// admission, or after replay for a task recovery resumes.
+    client: Option<Submission>,
+    /// Last answer reported by a `false`-vote (index 0) / `true`-vote
+    /// (index 1) replica, for verdict delivery.
+    answers: [Option<bool>; 2],
+    /// Hedge twins in flight (their origins are in `in_flight`).
+    twins: Vec<u32>,
+}
+
+impl<S: RedundancyStrategy<bool>> TaskState<S> {
+    fn payload(&self) -> Arc<Payload> {
+        let client = self.client.as_ref();
+        client.expect("payload attached").payload.clone()
+    }
+
+    /// Takes `job` out of flight ahead of resolving one outstanding
+    /// replica; `false` when none is outstanding — a log no coordinator
+    /// writes.
+    fn resolve(&mut self, job: u32) -> bool {
+        self.in_flight.retain(|&(j, _)| j != job);
+        self.exec.outstanding() > 0
+    }
+
+    /// The task's physical jobs: in-flight replicas and hedge twins.
+    fn jobs(&self) -> Vec<u32> {
+        let replicas = self.in_flight.iter().map(|&(job, _)| job);
+        replicas.chain(self.twins.iter().copied()).collect()
+    }
 }
 
 /// A dispatched, unresolved job.
@@ -1026,6 +818,71 @@ enum Outcome {
     Poisoned,
 }
 
+/// A node-discipline action a strike demands, as `(node, action)`.
+type Strike = Option<(u32, DisciplineAction)>;
+
+/// What the handler of the last applied event still owes: the reactions
+/// the live path performs right after logging a resolution, in live
+/// order. [`Coordinator::apply`] derives it from the event (and, mid
+/// chain, from the previous debt), so after replay it names exactly what
+/// a crash cut off — recovery pays it through the same
+/// [`Coordinator::discharge`] the live path runs.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+enum Owed {
+    #[default]
+    Nothing,
+    /// A vote landed: tally it, then settle the task.
+    Tally { task: u32, value: bool },
+    /// A job timed out: sideline its node if the strike demands, log the
+    /// retry, then settle the task.
+    Retry { task: u32, strike: Strike },
+    /// A worker crashed: log its in-place restart, then as `Poison`.
+    Restart {
+        task: u32,
+        node: u32,
+        strike: Strike,
+        poisoned: bool,
+    },
+    /// Sideline the crashed worker if the strike demands, then poison the
+    /// task at the crash limit or settle it.
+    Poison {
+        task: u32,
+        strike: Strike,
+        poisoned: bool,
+    },
+    /// An audit caught a liar: sideline it if the strike demands.
+    Sideline(Strike),
+    /// Close the task's drained wave, if unclosed, then step it.
+    Settle(u32),
+}
+
+impl Owed {
+    /// The strike to enact next, if that is the next reaction owed.
+    fn strike(self) -> Strike {
+        match self {
+            Owed::Retry { strike, .. } | Owed::Poison { strike, .. } | Owed::Sideline(strike) => {
+                strike
+            }
+            _ => None,
+        }
+    }
+
+    /// This debt once its strike is enacted (or refused by the livelock
+    /// guard).
+    fn sidelined(self) -> Self {
+        match self {
+            Owed::Retry { task, .. } => Owed::Retry { task, strike: None },
+            Owed::Poison { task, poisoned, .. } => Owed::Poison {
+                task,
+                strike: None,
+                poisoned,
+            },
+            Owed::Sideline(_) => Owed::Nothing,
+            other => other,
+        }
+    }
+}
+
 struct Coordinator<S> {
     cfg: RuntimeConfig,
     strategy: Arc<S>,
@@ -1045,8 +902,9 @@ struct Coordinator<S> {
     /// `(deadline, job, epoch)` — an entry whose epoch no longer matches
     /// the job's record is stale (the job was re-dispatched) and skipped.
     deadlines: BinaryHeap<Reverse<(Instant, u32, u32)>>,
-    /// Replicas decided but not yet handed to a worker (all inboxes full).
-    pending: VecDeque<(u32, u32)>,
+    /// One entry per replica opened but not yet handed to a worker (all
+    /// inboxes full); the replica index is the task's dispatch cursor.
+    pending: VecDeque<u32>,
     /// In-flight jobs to re-dispatch without new journal records, as
     /// `(job, task, replica, epoch)` — from hung-worker respawns and WAL
     /// recovery.
@@ -1054,9 +912,10 @@ struct Coordinator<S> {
     /// Recovered roster tasks awaiting first admission, drained ahead of
     /// the external submission queue.
     seeded: VecDeque<Submission>,
-    /// Resumed open tasks to settle once at startup, each with the wave
-    /// whose close the crash cut off (see [`Self::settle_resumed`]).
-    resume: Vec<(u32, Option<u32>)>,
+    /// Resumed open tasks to step once at startup.
+    resume: Vec<u32>,
+    /// Reactions the last applied event's handler still owes.
+    owed: Owed,
     next_job: u32,
     active: Arc<AtomicUsize>,
     draining: bool,
@@ -1079,8 +938,7 @@ struct Coordinator<S> {
     /// Permanently blacklisted workers.
     blacklisted: Vec<bool>,
     /// Whether any audit has ever caught a liar — switches spot-checking
-    /// to [`AuditPolicy::escalated_rate`]. Rebuilt from the journal on
-    /// recovery (`report.audit_failures > 0`).
+    /// to [`AuditPolicy::escalated_rate`].
     escalated: bool,
     /// The straggler-hedging trigger (shared decision surface with the
     /// simulators). Estimator state is not journaled: a recovered
@@ -1111,14 +969,474 @@ struct Coordinator<S> {
 const TICK: Duration = Duration::from_millis(1);
 
 impl<S: RedundancyStrategy<bool>> Coordinator<S> {
+    /// Builds a coordinator, its worker pool and its channels — the one
+    /// constructor of [`Runtime::start`] and [`Runtime::recover`].
+    /// Returns the submission sender with it.
+    fn new(
+        cfg: RuntimeConfig,
+        strategy: S,
+        make_worker: Arc<dyn Fn(u32) -> Box<dyn Worker> + Send + Sync>,
+        journal: Journal,
+        wal: Option<WalWriter>,
+    ) -> (Self, SyncSender<ClientOp>) {
+        let workers = cfg.workers.unwrap_or_else(|| Threads::Auto.get()).max(1);
+        let (submit_tx, submit_rx) = mpsc::sync_channel(cfg.queue_cap.max(1));
+        let (result_tx, result_rx) = mpsc::channel();
+        let pool = WorkerPool::spawn(
+            workers,
+            cfg.node_base,
+            cfg.inbox_cap,
+            result_tx,
+            make_worker,
+        );
+        // Per-node vectors are indexed by *global* node id, so they span
+        // `0..node_base + workers`; slots below the base belong to other
+        // shards and stay untouched defaults.
+        let span = cfg.node_base as usize + workers;
+        let coordinator = Self {
+            strategy: Arc::new(strategy),
+            pool,
+            submit_rx,
+            result_rx,
+            start: Instant::now(),
+            time_base: 0,
+            journal,
+            wal,
+            report: RuntimeReport::new(),
+            tasks: HashMap::new(),
+            jobs: HashMap::new(),
+            deadlines: BinaryHeap::new(),
+            pending: VecDeque::new(),
+            rearm: VecDeque::new(),
+            seeded: VecDeque::new(),
+            resume: Vec::new(),
+            owed: Owed::Nothing,
+            next_job: 0,
+            active: Arc::new(AtomicUsize::new(0)),
+            draining: false,
+            events_logged: 0,
+            crashed: false,
+            crashed_flag: Arc::new(AtomicBool::new(false)),
+            decided: HashSet::new(),
+            last_ckpt_events: 0,
+            incarnations: vec![0; span],
+            discipline: vec![NodeDiscipline::default(); span],
+            quarantined_until: vec![None; span],
+            blacklisted: vec![false; span],
+            escalated: false,
+            hedge: cfg
+                .hedge
+                .map(|p| HedgeTrigger::new(p).expect("invalid hedge policy")),
+            hedge_checks: BinaryHeap::new(),
+            hedge_pair: HashMap::new(),
+            twin_origin: HashMap::new(),
+            worker_loads: vec![0; span],
+            assign_cursor: cfg.node_base,
+            cfg,
+        };
+        (coordinator, submit_tx)
+    }
+
+    /// A fresh task record; `client` is `None` for a task the replay
+    /// opens, until [`Self::resume`] attaches its roster payload.
+    fn new_task(&self, client: Option<Submission>) -> TaskState<S> {
+        let mut exec = TaskExecution::new(self.strategy.clone());
+        if let Some(cap) = self.cfg.job_cap {
+            exec = exec.with_job_cap(cap);
+        }
+        TaskState {
+            exec,
+            replicas: 0,
+            next_replica: 0,
+            in_flight: Vec::new(),
+            timeouts: 0,
+            poison: TaskDiscipline::default(),
+            epoch: 0,
+            first_dispatch: None,
+            returns: Vec::new(),
+            must_audit: false,
+            closed_wave: 0,
+            client,
+            answers: [None, None],
+            twins: Vec::new(),
+        }
+    }
+
+    /// Whether `node` belongs to this coordinator's pool.
+    fn owns(&self, node: u32) -> bool {
+        self.pool.node_ids().contains(&node)
+    }
+
+    /// Restores what a checkpoint compacted out of the WAL — the state
+    /// applying the compacted events left behind.
+    fn seed(&mut self, snap: &CheckpointState) {
+        self.decided.extend(snap.decided.iter().copied());
+        self.next_job = snap.next_job;
+        self.escalated = snap.report.audit_failures > 0;
+        for &(node, incarnation) in &snap.incarnations {
+            if self.owns(node) {
+                self.incarnations[node as usize] = incarnation;
+            }
+        }
+        for &(node, (strikes, quarantines, last, probation)) in &snap.discipline {
+            if self.owns(node) {
+                self.discipline[node as usize] =
+                    NodeDiscipline::from_parts(strikes, quarantines, last, probation);
+            }
+        }
+        for &(node, until) in &snap.quarantines {
+            if self.owns(node) {
+                self.quarantined_until[node as usize] = Some(SimTime::from_micros(until));
+                self.pool.set_enabled(node, false);
+            }
+        }
+        for &node in &snap.blacklisted {
+            if self.owns(node) {
+                self.blacklisted[node as usize] = true;
+                self.pool.set_enabled(node, false);
+            }
+        }
+    }
+
+    /// Applies one logged event to the durable coordinator state — the
+    /// only code that changes it. The live path calls this right after
+    /// each append ([`Self::log`]); recovery calls it for every WAL
+    /// event, so a recovered coordinator holds the state the dead one
+    /// had. It also records in [`Self::owed`] what the event's handler
+    /// still owes.
+    ///
+    /// The WAL is outside input: an event that contradicts the
+    /// deterministic strategy replay (a wave the strategy would not open
+    /// identically, an event for a task that is not open) is
+    /// [`RecoveryError::Corrupt`], never patched.
+    fn apply(&mut self, at: SimTime, event: RunEvent) -> Result<(), RecoveryError> {
+        let corrupt = |msg: String| Err(RecoveryError::Corrupt(msg));
+        let idle = |task: u32, job: u32| {
+            corrupt(format!(
+                "task {task}: job {job} resolved with no replica outstanding"
+            ))
+        };
+        let owed = std::mem::take(&mut self.owed);
+        self.owed = match event {
+            RunEvent::WaveOpened { task, wave, jobs } => {
+                if self.decided.contains(&task) {
+                    return corrupt(format!("wave opened for decided task {task}"));
+                }
+                if !self.tasks.contains_key(&task) {
+                    let state = self.new_task(None);
+                    self.tasks.insert(task, state);
+                }
+                let state = self.tasks.get_mut(&task).expect("just ensured");
+                let step = state.exec.step_wave();
+                if !matches!(step, WaveStep::Wave { wave: w, jobs: j }
+                    if w as u32 == wave && j as u32 == jobs)
+                {
+                    return corrupt(format!(
+                        "task {task}: logged wave {wave} of {jobs} jobs, but the \
+                         strategy replayed a different step"
+                    ));
+                }
+                state.replicas += jobs;
+                Owed::Nothing
+            }
+            RunEvent::JobDispatched { job, task, .. } => {
+                let Some(state) = self.tasks.get_mut(&task) else {
+                    return corrupt(format!("job {job} dispatched for unknown task {task}"));
+                };
+                // Replica index = the per-task dispatch cursor: the
+                // coordinator dispatches a task's replicas in index order
+                // and never journals a re-dispatch.
+                if state.next_replica >= state.replicas {
+                    return corrupt(format!(
+                        "task {task}: job {job} dispatched beyond the {} opened replicas",
+                        state.replicas
+                    ));
+                }
+                state.in_flight.push((job, state.next_replica));
+                state.next_replica += 1;
+                state.first_dispatch.get_or_insert(at);
+                self.next_job = self.next_job.max(job + 1);
+                Owed::Nothing
+            }
+            // A hedge twin sits outside the replica accounting: its launch
+            // only burns a job id, and the pair's terminal event carries
+            // the origin's id.
+            RunEvent::HedgeLaunched { job, .. } => {
+                self.next_job = self.next_job.max(job + 1);
+                Owed::Nothing
+            }
+            RunEvent::JobReturned {
+                job,
+                task,
+                node,
+                value,
+            } => {
+                let Some(state) = self.tasks.get_mut(&task) else {
+                    return corrupt(format!("job {job} returned for unknown task {task}"));
+                };
+                if !state.resolve(job) {
+                    return idle(task, job);
+                }
+                state.exec.record(value);
+                state.returns.push((job, node, value));
+                // A result from a probationary node (fresh out of
+                // quarantine) burns one probation slot and forces an
+                // audit of this task's verdict, whatever the spot draw.
+                if self.cfg.audit.is_enabled()
+                    && self
+                        .discipline
+                        .get_mut(node as usize)
+                        .is_some_and(NodeDiscipline::consume_probation)
+                {
+                    state.must_audit = true;
+                }
+                Owed::Tally { task, value }
+            }
+            RunEvent::JobTimedOut { job, task, node } => {
+                let Some(state) = self.tasks.get_mut(&task) else {
+                    return corrupt(format!("job {job} timed out for unknown task {task}"));
+                };
+                if !state.resolve(job) {
+                    return idle(task, job);
+                }
+                state.timeouts += 1;
+                state.exec.abandon(1);
+                Owed::Retry {
+                    task,
+                    strike: self.charge(node, 1, at),
+                }
+            }
+            RunEvent::WorkerCrashed { node, job, task } => {
+                let limit = self.cfg.poison.unwrap_or(PoisonPolicy {
+                    crash_limit: u32::MAX,
+                });
+                // The replica died without a vote: it is abandoned, and
+                // the strategy reopens a wave for a fresh replica (a
+                // fresh fault draw) unless the task is poisoned.
+                let mut poisoned = false;
+                if let Some(state) = self.tasks.get_mut(&task) {
+                    if !state.resolve(job) {
+                        return idle(task, job);
+                    }
+                    state.exec.abandon(1);
+                    poisoned = state.poison.record_crash(&limit);
+                }
+                Owed::Restart {
+                    task,
+                    node,
+                    strike: self.charge(node, 1, at),
+                    poisoned,
+                }
+            }
+            RunEvent::WorkerRestarted { node, incarnation } => {
+                if let Some(slot) = self.incarnations.get_mut(node as usize) {
+                    *slot = (*slot).max(incarnation);
+                }
+                match owed {
+                    Owed::Restart {
+                        task,
+                        node: crashed,
+                        strike,
+                        poisoned,
+                    } if crashed == node => Owed::Poison {
+                        task,
+                        strike,
+                        poisoned,
+                    },
+                    _ => Owed::Nothing,
+                }
+            }
+            RunEvent::NodeQuarantined { node } => {
+                if let (true, Some(policy)) = (self.owns(node), self.cfg.discipline) {
+                    self.quarantined_until[node as usize] =
+                        Some(at + SimDuration::from_units(policy.quarantine_units));
+                    self.pool.set_enabled(node, false);
+                }
+                owed.sidelined()
+            }
+            RunEvent::NodeDeparted { node, .. } => {
+                if self.owns(node) {
+                    self.blacklisted[node as usize] = true;
+                    self.quarantined_until[node as usize] = None;
+                    self.pool.set_enabled(node, false);
+                }
+                owed.sidelined()
+            }
+            RunEvent::NodeReleased { node } => {
+                if self.owns(node) {
+                    self.quarantined_until[node as usize] = None;
+                    self.pool.set_enabled(node, true);
+                    // Probationary re-admission: the node's next results
+                    // force audits until it has proven itself again.
+                    if self.cfg.audit.is_enabled() {
+                        self.discipline[node as usize]
+                            .begin_probation(self.cfg.audit.probation_audits);
+                    }
+                }
+                Owed::Nothing
+            }
+            RunEvent::EpochAdvanced { task, epoch } => {
+                if let Some(state) = self.tasks.get_mut(&task) {
+                    state.epoch = epoch;
+                }
+                Owed::Nothing
+            }
+            RunEvent::WaveClosed { task, wave } => {
+                if let Some(state) = self.tasks.get_mut(&task) {
+                    state.closed_wave = wave;
+                }
+                Owed::Settle(task)
+            }
+            RunEvent::VoteTallied { task, .. } | RunEvent::JobRetried { task, .. } => {
+                Owed::Settle(task)
+            }
+            RunEvent::VerdictReached { task, .. }
+            | RunEvent::TaskCapped { task }
+            | RunEvent::TaskPoisoned { task, .. } => {
+                self.tasks.remove(&task);
+                self.decided.insert(task);
+                Owed::Nothing
+            }
+            RunEvent::AuditPassed { task } => {
+                // A clean conclusion releases the probation flag. (A
+                // failed group keeps it set, so a crash mid-group
+                // re-audits on resume rather than skipping the check.)
+                if let Some(state) = self.tasks.get_mut(&task) {
+                    state.must_audit = false;
+                }
+                Owed::Nothing
+            }
+            RunEvent::AuditFailed { node, .. } => {
+                self.escalated = true;
+                let weight = self.cfg.audit.strike_weight.max(1);
+                Owed::Sideline(self.charge(node, weight, at))
+            }
+            RunEvent::VerdictVoided { task } | RunEvent::TaskRetallied { task } => {
+                let Some(state) = self.tasks.get_mut(&task) else {
+                    return corrupt(format!("void/re-tally for unknown task {task}"));
+                };
+                // The attempt's evidence is burned: its dispatched jobs
+                // are dead (late replies drop as stale), its undispatched
+                // ordinals never dispatch, and the strategy restarts from
+                // wave 1 with a fresh budget.
+                state.exec.reset();
+                state.in_flight.clear();
+                state.returns.clear();
+                state.must_audit = false;
+                state.closed_wave = 0;
+                state.next_replica = state.replicas;
+                Owed::Nothing
+            }
+            // Settling a hedge twin sits inside another handler's chain
+            // and neither owes nor pays anything.
+            RunEvent::HedgeWon { .. } | RunEvent::HedgeWasted { .. } => owed,
+            // Whether an interrupted audit re-runs is re-derived when the
+            // task is next stepped (selection is a pure function of the
+            // seed and task id, plus `must_audit`). Stale drops change no
+            // state; the runtime never emits churn, outage, or fault-plan
+            // events; DAG annotations are caller-journaled workload
+            // bookkeeping; a checkpoint seal's state was seeded from its
+            // snapshot.
+            RunEvent::AuditScheduled { .. }
+            | RunEvent::StaleReplyDropped { .. }
+            | RunEvent::NodeJoined { .. }
+            | RunEvent::OutageStarted { .. }
+            | RunEvent::FaultInjected { .. }
+            | RunEvent::TransferStarted { .. }
+            | RunEvent::TransferCompleted { .. }
+            | RunEvent::StageDecided { .. }
+            | RunEvent::PoisonPropagated { .. }
+            | RunEvent::CheckpointTaken { .. }
+            | RunEvent::RunEnded => Owed::Nothing,
+        };
+        Ok(())
+    }
+
+    /// Charges `weight` discipline strikes to `node` — one for a timeout
+    /// or crash, [`AuditPolicy::strike_weight`] for a lie an audit caught,
+    /// which is direct evidence and can quarantine at once. Returns the
+    /// action the policy demands; a blacklisted node takes no strikes.
+    fn charge(&mut self, node: u32, weight: u32, at: SimTime) -> Strike {
+        let policy = self.cfg.discipline?;
+        if !self.owns(node) || self.blacklisted[node as usize] {
+            return None;
+        }
+        let window = self.cfg.strike_window.as_micros() as u64;
+        let action = self.discipline[node as usize].strike_weighted_at(
+            weight,
+            at.as_micros(),
+            window,
+            &policy,
+        );
+        (action != DisciplineAction::None).then_some((node, action))
+    }
+
+    /// Readies a replayed coordinator to run: attaches roster payloads to
+    /// the open tasks, re-arms their in-flight jobs (ascending job id)
+    /// and parks their undispatched replicas (task order) without new
+    /// journal records, and queues, under their original ids, the roster
+    /// tasks the log never saw. Returns the next fresh task id and the
+    /// number of jobs re-armed.
+    fn resume(
+        &mut self,
+        roster: &[(u32, Payload)],
+        verdict_tx: &Sender<TaskVerdict>,
+    ) -> Result<(u32, usize), RecoveryError> {
+        let mut open: Vec<u32> = self.tasks.keys().copied().collect();
+        open.sort_unstable();
+        let submission = |task: u32, payload: &Payload| Submission {
+            task,
+            payload: Arc::new(payload.clone()),
+            verdict_tx: verdict_tx.clone(),
+        };
+        for &task in &open {
+            let payload = roster
+                .iter()
+                .find(|(id, _)| *id == task)
+                .map(|(_, p)| p)
+                .ok_or_else(|| {
+                    RecoveryError::Corrupt(format!("open task {task} missing from roster"))
+                })?;
+            let state = self.tasks.get_mut(&task).expect("open task");
+            state.client = Some(submission(task, payload));
+            for &(job, replica) in &state.in_flight {
+                self.rearm.push_back((job, task, replica, state.epoch));
+            }
+            for _ in state.next_replica..state.replicas {
+                self.pending.push_back(task);
+            }
+        }
+        self.rearm
+            .make_contiguous()
+            .sort_unstable_by_key(|&(job, ..)| job);
+        for (task, payload) in roster {
+            if !self.decided.contains(task) && !self.tasks.contains_key(task) {
+                self.seeded.push_back(submission(*task, payload));
+            }
+        }
+        let seen = open.iter().chain(&self.decided);
+        let next_task = seen
+            .chain(roster.iter().map(|(id, _)| id))
+            .max()
+            .map_or(0, |&m| m + 1);
+        self.resume = open;
+        self.last_ckpt_events = self.journal.next_seq();
+        self.active.store(self.tasks.len(), Ordering::Relaxed);
+        Ok((next_task, self.rearm.len()))
+    }
+
     fn run(mut self) -> (RuntimeReport, Journal, bool) {
-        let resume = std::mem::take(&mut self.resume);
-        for (task, unclosed_wave) in resume {
+        // A recovered coordinator first finishes the handler the crash
+        // cut short, then steps every resumed task (a no-op for tasks
+        // whose votes are still outstanding); a fresh one has neither.
+        let at = self.stamp();
+        self.discharge(at);
+        for task in std::mem::take(&mut self.resume) {
             if self.crashed {
                 break;
             }
             let at = self.stamp();
-            self.settle_resumed(task, unclosed_wave, at);
+            self.advance(task, at);
         }
         loop {
             if self.crashed {
@@ -1189,12 +1507,12 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
     }
 
     /// Records one event: in-memory journal first, then the durable WAL
-    /// append — `log` returns only after the record would survive a
-    /// process crash, and callers act on the event *after* it returns
-    /// (write-ahead). Under group commit (`RuntimeConfig::wal_batch`
-    /// above 1) the append is flushed but possibly not yet fsync'd;
-    /// decision events call [`Self::commit_wal`] before their side
-    /// effects to close the power-failure window.
+    /// append, then [`Self::apply`] — `log` returns only after the record
+    /// would survive a process crash, and callers act on the event *after*
+    /// it returns (write-ahead). Under group commit
+    /// (`RuntimeConfig::wal_batch` above 1) the append is flushed but
+    /// possibly not yet fsync'd; decision events call [`Self::commit_wal`]
+    /// before their side effects to close the power-failure window.
     ///
     /// Returns `false` when the coordinator is dead: either it already
     /// crashed, or this very append hit the chaos threshold
@@ -1230,6 +1548,9 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                 self.crashed_flag.store(true, Ordering::Release);
                 return false;
             }
+        }
+        if let Err(err) = self.apply(at, event) {
+            panic!("the coordinator logged an event its own state refuses: {err}");
         }
         true
     }
@@ -1388,99 +1709,111 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
     }
 
     fn admit_one(&mut self, sub: Submission) {
-        let mut exec = TaskExecution::new(self.strategy.clone());
-        if let Some(cap) = self.cfg.job_cap {
-            exec = exec.with_job_cap(cap);
-        }
-        self.tasks.insert(
-            sub.task,
-            TaskState {
-                exec,
-                payload: sub.payload,
-                verdict_tx: sub.verdict_tx,
-                replicas: 0,
-                timeouts: 0,
-                first_dispatch: None,
-                answers: [None, None],
-                live_jobs: Vec::new(),
-                epoch: 0,
-                poison: TaskDiscipline::default(),
-                returns: Vec::new(),
-                must_audit: false,
-            },
-        );
+        let task = sub.task;
+        let state = self.new_task(Some(sub));
+        self.tasks.insert(task, state);
         self.active.store(self.tasks.len(), Ordering::Relaxed);
         let at = self.stamp();
-        self.advance(sub.task, at);
+        self.advance(task, at);
     }
 
-    /// Re-derives, for a task resumed from the WAL, every decision that is
-    /// a pure function of its durable events but that the crash cut off
-    /// before it was logged, then steps the strategy. A crash can land
-    /// between a resolution (vote, timeout, worker crash) and what it
-    /// triggers: a poisoning once the logged `WorkerCrashed` charges reach
-    /// the crash limit, the close of a drained wave, the next wave or the
-    /// verdict. Each is taken here exactly as the live path would have, so
-    /// a poisoned task never reopens and a drained wave closes once.
-    /// `advance` is a no-op for tasks whose votes are still outstanding,
-    /// so settling every resumed task is safe.
-    fn settle_resumed(&mut self, task: u32, unclosed_wave: Option<u32>, at: SimTime) {
-        let Some(state) = self.tasks.get(&task) else {
-            return;
-        };
-        let crashes = state.poison.crashes();
-        if self.cfg.poison.is_some_and(|p| crashes >= p.crash_limit) {
-            self.finalize(task, Outcome::Poisoned, at);
-            return;
-        }
-        if let Some(wave) = unclosed_wave {
-            if !self.log(at, RunEvent::WaveClosed { task, wave }) {
-                return;
+    /// Performs, in live order, the reactions the last applied event still
+    /// owes ([`Owed`]): the live path calls this right after logging a
+    /// resolution, and recovery once after replay, so a handler a crash
+    /// cut short is finished by the same code that runs it live. Every
+    /// choice it makes — retry attempt, livelock guard, poison, wave close
+    /// — reads only state [`Self::apply`] derives from the log.
+    fn discharge(&mut self, at: SimTime) {
+        while !self.crashed {
+            if let Some((node, action)) = self.owed.strike() {
+                self.owed = self.owed.sidelined();
+                self.enact(node, action, at);
+                continue;
+            }
+            // Each arm logs the next event of the chain, whose `apply`
+            // advances `owed`, or advances it itself.
+            match self.owed {
+                Owed::Nothing => return,
+                Owed::Tally { task, value } => {
+                    let (leader_count, runner_up) = self.tasks[&task].exec.leader_counts();
+                    self.log(
+                        at,
+                        RunEvent::VoteTallied {
+                            task,
+                            value,
+                            leader_count: leader_count as u32,
+                            runner_up: runner_up as u32,
+                        },
+                    );
+                }
+                Owed::Retry { task, .. } => {
+                    // Reissue semantics: the abandoned replica is replaced
+                    // by a fresh one when the strategy reopens the wave.
+                    let attempt = self.tasks[&task].timeouts;
+                    if self.log(at, RunEvent::JobRetried { task, attempt }) {
+                        self.report.retries += 1;
+                    }
+                }
+                Owed::Restart { node, .. } => {
+                    let incarnation = self.incarnations.get(node as usize).map_or(1, |i| i + 1);
+                    if self.log(at, RunEvent::WorkerRestarted { node, incarnation }) {
+                        self.report.worker_restarts += 1;
+                    }
+                }
+                Owed::Poison {
+                    task,
+                    poisoned: true,
+                    ..
+                } => {
+                    self.owed = Owed::Nothing;
+                    self.finalize(task, Outcome::Poisoned, at);
+                }
+                Owed::Poison { task, .. } => self.owed = Owed::Settle(task),
+                Owed::Sideline(_) => self.owed = Owed::Nothing,
+                Owed::Settle(task) => {
+                    self.owed = Owed::Nothing;
+                    let Some(state) = self.tasks.get(&task) else {
+                        continue;
+                    };
+                    let wave = state.exec.waves() as u32;
+                    if state.exec.wave_boundary() && wave > state.closed_wave {
+                        self.log(at, RunEvent::WaveClosed { task, wave });
+                    } else {
+                        self.advance(task, at);
+                    }
+                }
             }
         }
-        self.advance(task, at);
     }
 
     /// Steps the task's strategy until it parks (pending/verdict/cap),
     /// queueing any opened wave's replicas for dispatch.
     fn advance(&mut self, task: u32, at: SimTime) {
-        loop {
-            let step = {
-                let Some(state) = self.tasks.get_mut(&task) else {
-                    return;
-                };
-                state.exec.step_wave()
+        while let Some(state) = self.tasks.get(&task) {
+            // Strategies decide only once a wave has drained, and then on
+            // a copy: the logged `WaveOpened` steps the task's own machine
+            // in `apply`, exactly as replay does.
+            let step = if state.exec.outstanding() > 0 {
+                WaveStep::Pending
+            } else {
+                state.exec.clone().step_wave()
             };
             match step {
                 WaveStep::Wave { wave, jobs } => {
                     // Wave durable before its replicas become dispatchable.
-                    let alive = self.log(
-                        at,
-                        RunEvent::WaveOpened {
-                            task,
-                            wave: wave as u32,
-                            jobs: jobs as u32,
-                        },
-                    );
-                    if !alive {
+                    let opened = RunEvent::WaveOpened {
+                        task,
+                        wave: wave as u32,
+                        jobs: jobs as u32,
+                    };
+                    if !self.log(at, opened) {
                         return;
                     }
-                    let state = self.tasks.get_mut(&task).expect("task is live");
-                    let first_replica = state.replicas;
-                    state.replicas += jobs as u32;
-                    for replica in first_replica..first_replica + jobs as u32 {
-                        self.pending.push_back((task, replica));
-                    }
+                    self.pending.extend(std::iter::repeat_n(task, jobs));
                 }
                 WaveStep::Pending => return,
-                WaveStep::Verdict(v) => {
-                    self.finalize(task, Outcome::Verdict(v), at);
-                    return;
-                }
-                WaveStep::Capped { .. } => {
-                    self.finalize(task, Outcome::Capped, at);
-                    return;
-                }
+                WaveStep::Verdict(v) => return self.finalize(task, Outcome::Verdict(v), at),
+                WaveStep::Capped { .. } => return self.finalize(task, Outcome::Capped, at),
             }
         }
     }
@@ -1561,6 +1894,13 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         }
     }
 
+    /// Maps a job handed to a worker and arms its deadline.
+    fn track(&mut self, job: u32, info: JobInfo, now: Instant) {
+        self.deadlines
+            .push(Reverse((now + self.cfg.deadline, job, info.epoch)));
+        self.jobs.insert(job, info);
+    }
+
     /// Hands parked replicas to workers, stopping at the first refusal
     /// (every inbox full) — the next tick retries. Re-armed jobs (hung
     /// respawns, recovery) go first and are *not* re-journaled: they are
@@ -1575,23 +1915,20 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                 task,
                 replica,
                 epoch,
-                payload: state.payload.clone(),
+                payload: state.payload(),
             };
             match self.dispatch_to_pool(assignment, None) {
                 Ok(worker) => {
                     let now = Instant::now();
-                    self.jobs.insert(
-                        job,
-                        JobInfo {
-                            task,
-                            worker,
-                            replica,
-                            epoch,
-                            dispatched_at: self.stamp(),
-                        },
-                    );
-                    self.deadlines
-                        .push(Reverse((now + self.cfg.deadline, job, epoch)));
+                    let dispatched_at = self.stamp();
+                    let info = JobInfo {
+                        task,
+                        worker,
+                        replica,
+                        epoch,
+                        dispatched_at,
+                    };
+                    self.track(job, info, now);
                     self.arm_hedge(job, epoch, now);
                 }
                 Err(back) => {
@@ -1601,60 +1938,45 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                 }
             }
         }
-        while let Some((task, replica)) = self.pending.pop_front() {
+        while let Some(task) = self.pending.pop_front() {
             let Some(state) = self.tasks.get(&task) else {
                 continue;
             };
-            let job = self.next_job;
-            let epoch = state.epoch;
+            let (job, replica, epoch) = (self.next_job, state.next_replica, state.epoch);
             let assignment = JobAssignment {
                 job,
                 task,
                 replica,
                 epoch,
-                payload: state.payload.clone(),
+                payload: state.payload(),
             };
             match self.dispatch_to_pool(assignment, None) {
                 Ok(worker) => {
-                    self.next_job += 1;
                     let now = Instant::now();
                     let at = self.stamp();
                     let eta = at + SimDuration::from_micros(self.cfg.deadline.as_micros() as u64);
-                    let alive = self.log(
-                        at,
-                        RunEvent::JobDispatched {
-                            job,
-                            task,
-                            node: worker,
-                            eta,
-                        },
-                    );
-                    if !alive {
+                    let dispatched = RunEvent::JobDispatched {
+                        job,
+                        task,
+                        node: worker,
+                        eta,
+                    };
+                    if !self.log(at, dispatched) {
                         return;
                     }
                     self.report.total_jobs += 1;
-                    let state = self.tasks.get_mut(&task).expect("checked above");
-                    if state.first_dispatch.is_none() {
-                        state.first_dispatch = Some(at);
-                    }
-                    state.live_jobs.push(job);
-                    self.jobs.insert(
-                        job,
-                        JobInfo {
-                            task,
-                            worker,
-                            replica,
-                            epoch,
-                            dispatched_at: at,
-                        },
-                    );
-                    self.deadlines
-                        .push(Reverse((now + self.cfg.deadline, job, epoch)));
+                    let info = JobInfo {
+                        task,
+                        worker,
+                        replica,
+                        epoch,
+                        dispatched_at: at,
+                    };
+                    self.track(job, info, now);
                     self.arm_hedge(job, epoch, now);
                 }
-                Err(assignment) => {
-                    self.pending
-                        .push_front((assignment.task, assignment.replica));
+                Err(_) => {
+                    self.pending.push_front(task);
                     return;
                 }
             }
@@ -1702,45 +2024,45 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                 task,
                 replica,
                 epoch,
-                payload: state.payload.clone(),
+                payload: state.payload(),
             };
             // Best-effort: on Err (every inbox full) the hedge is skipped.
             if let Ok(worker) = self.dispatch_to_pool(assignment, Some(origin_worker)) {
-                self.next_job += 1;
                 let at = self.stamp();
-                let alive = self.log(
-                    at,
-                    RunEvent::HedgeLaunched {
-                        job: twin,
-                        task,
-                        origin,
-                        epoch,
-                    },
-                );
-                if !alive {
+                let launched = RunEvent::HedgeLaunched {
+                    job: twin,
+                    task,
+                    origin,
+                    epoch,
+                };
+                if !self.log(at, launched) {
                     return;
                 }
                 self.report.hedges_launched += 1;
                 let state = self.tasks.get_mut(&task).expect("checked above");
                 state.exec.note_hedge();
-                state.live_jobs.push(twin);
-                self.jobs.insert(
-                    twin,
-                    JobInfo {
-                        task,
-                        worker,
-                        replica,
-                        epoch,
-                        dispatched_at: at,
-                    },
-                );
+                state.twins.push(twin);
+                let info = JobInfo {
+                    task,
+                    worker,
+                    replica,
+                    epoch,
+                    dispatched_at: at,
+                };
+                self.track(twin, info, Instant::now());
                 self.hedge_pair.insert(origin, twin);
                 self.hedge_pair.insert(twin, origin);
                 self.twin_origin.insert(twin, origin);
-                self.deadlines
-                    .push(Reverse((Instant::now() + self.cfg.deadline, twin, epoch)));
             }
         }
+    }
+
+    /// Dissolves the hedge pair `job` belongs to, if any, returning its
+    /// partner.
+    fn unpair(&mut self, job: u32) -> Option<u32> {
+        let partner = self.hedge_pair.remove(&job)?;
+        self.hedge_pair.remove(&partner);
+        Some(partner)
     }
 
     /// Logs a twin's terminal hedge event exactly once: `won` means its
@@ -1748,6 +2070,9 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
     fn settle_twin(&mut self, twin: u32, task: u32, won: bool, at: SimTime) -> bool {
         let removed = self.twin_origin.remove(&twin);
         debug_assert!(removed.is_some(), "twin settled twice");
+        if let Some(state) = self.tasks.get_mut(&task) {
+            state.twins.retain(|&t| t != twin);
+        }
         let event = if won {
             RunEvent::HedgeWon { job: twin, task }
         } else {
@@ -1760,6 +2085,20 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
             self.report.hedges_won += 1;
         } else {
             self.report.hedges_wasted += 1;
+        }
+        true
+    }
+
+    /// Cancels physical jobs of `task` — its worker keeps computing, but
+    /// a job off the map drops its eventual reply as stale — settling
+    /// each hedge twin as wasted. Returns `log`'s aliveness.
+    fn cancel(&mut self, jobs: &[u32], task: u32, at: SimTime) -> bool {
+        for &job in jobs {
+            self.jobs.remove(&job);
+            self.unpair(job);
+            if self.twin_origin.contains_key(&job) && !self.settle_twin(job, task, false, at) {
+                return false;
+            }
         }
         true
     }
@@ -1807,16 +2146,8 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         // resolves first dissolves the pair, and the terminal journal
         // event below carries the ORIGIN's job id, so WAL recovery
         // replays the pair as one logical replica.
-        let partner = self.hedge_pair.remove(&result.job);
-        if let Some(p) = partner {
-            self.hedge_pair.remove(&p);
-        }
-        let is_twin = self.twin_origin.contains_key(&result.job);
-        let origin_id = self
-            .twin_origin
-            .get(&result.job)
-            .copied()
-            .unwrap_or(result.job);
+        let partner = self.unpair(result.job);
+        let origin = self.twin_origin.get(&result.job).copied();
         // A genuine resolution feeds the straggler estimator.
         if let Some(trigger) = self.hedge.as_mut() {
             trigger.observe(at.since(info.dispatched_at).as_units());
@@ -1825,70 +2156,32 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         // job leaves the map, so its eventual reply drops as stale.
         if let Some(p) = partner.filter(|p| self.jobs.contains_key(p)) {
             self.jobs.remove(&p);
-            if let Some(state) = self.tasks.get_mut(&task) {
-                state.live_jobs.retain(|&j| j != p);
-            }
-            if !is_twin && !self.settle_twin(p, task, false, at) {
+            if origin.is_none() && !self.settle_twin(p, task, false, at) {
                 return;
             }
         }
         let alive = self.log(
             at,
             RunEvent::JobReturned {
-                job: origin_id,
+                job: origin.unwrap_or(result.job),
                 task,
                 node: result.worker,
                 value: result.vote,
             },
         );
-        if !alive {
+        if !alive || (origin.is_some() && !self.settle_twin(result.job, task, true, at)) {
             return;
         }
-        if is_twin && !self.settle_twin(result.job, task, true, at) {
-            return;
+        if let Some(state) = self.tasks.get_mut(&task) {
+            state.answers[usize::from(result.vote)] = Some(result.answer);
         }
-        let Some(state) = self.tasks.get_mut(&task) else {
-            return;
-        };
-        state.live_jobs.retain(|&j| j != result.job);
-        state.answers[usize::from(result.vote)] = Some(result.answer);
-        state.exec.record(result.vote);
-        state.returns.push((origin_id, result.worker, result.vote));
-        // A result from a probationary node (fresh out of quarantine)
-        // burns one probation slot and forces an audit of this task's
-        // verdict, whatever the spot draw says.
-        if self.cfg.audit.is_enabled() {
-            if let Some(d) = self.discipline.get_mut(result.worker as usize) {
-                if d.consume_probation() {
-                    state.must_audit = true;
-                }
-            }
-        }
-        let (leader_count, runner_up) = state.exec.leader_counts();
-        let boundary = state.exec.wave_boundary();
-        let wave = state.exec.waves() as u32;
-        let alive = self.log(
-            at,
-            RunEvent::VoteTallied {
-                task,
-                value: result.vote,
-                leader_count: leader_count as u32,
-                runner_up: runner_up as u32,
-            },
-        );
-        if !alive {
-            return;
-        }
-        if boundary && !self.log(at, RunEvent::WaveClosed { task, wave }) {
-            return;
-        }
-        self.advance(task, at);
+        self.discharge(at);
     }
 
-    /// Handles a caught worker panic: journal the crash and the (already
-    /// completed) in-place restart, charge node strikes and the task's
-    /// poison counter, then either poison the task or abandon the dead
-    /// replica and reissue.
+    /// Handles a caught worker panic: journal the crash, then the
+    /// reactions it owes — the (already completed) in-place restart, the
+    /// node's strike, and either poisoning the task or abandoning the dead
+    /// replica and reissuing.
     fn on_crash(&mut self, worker: u32, job: u32, task: u32, epoch: u32) {
         let at = self.stamp();
         let fresh = self.jobs.get(&job).is_some_and(|info| info.epoch == epoch);
@@ -1902,14 +2195,11 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
             }
             return;
         }
+        self.jobs.remove(&job);
         // Pair dissolution first: the pair's terminal event carries the
         // origin's job id.
-        let partner = self.hedge_pair.remove(&job);
-        if let Some(p) = partner {
-            self.hedge_pair.remove(&p);
-        }
-        let is_twin = self.twin_origin.contains_key(&job);
-        let origin_id = self.twin_origin.get(&job).copied().unwrap_or(job);
+        let partner = self.unpair(job);
+        let origin = self.twin_origin.get(&job).copied();
         if partner.is_some_and(|p| self.jobs.contains_key(&p)) {
             // Suppressed crash: the hedge partner is still flying and will
             // supply the pair's single terminal event, so no
@@ -1917,86 +2207,33 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
             // and abandons only on that event, and a lapse the live run
             // absorbed must not do any of those on replay. The in-place
             // restart is real, though: log it.
-            self.jobs.remove(&job);
-            if let Some(state) = self.tasks.get_mut(&task) {
-                state.live_jobs.retain(|&j| j != job);
-            }
-            self.incarnations[worker as usize] += 1;
-            let incarnation = self.incarnations[worker as usize];
-            if !self.log(
-                at,
-                RunEvent::WorkerRestarted {
-                    node: worker,
-                    incarnation,
-                },
-            ) {
+            let incarnation = self.incarnations[worker as usize] + 1;
+            let restarted = RunEvent::WorkerRestarted {
+                node: worker,
+                incarnation,
+            };
+            if !self.log(at, restarted) {
                 return;
             }
             self.report.worker_restarts += 1;
-            if is_twin {
+            if origin.is_some() {
                 let _ = self.settle_twin(job, task, false, at);
             }
             return;
         }
-        if is_twin && !self.settle_twin(job, task, false, at) {
+        if origin.is_some() && !self.settle_twin(job, task, false, at) {
             return;
         }
-        if !self.log(
-            at,
-            RunEvent::WorkerCrashed {
-                node: worker,
-                job: origin_id,
-                task,
-            },
-        ) {
+        let crashed = RunEvent::WorkerCrashed {
+            node: worker,
+            job: origin.unwrap_or(job),
+            task,
+        };
+        if !self.log(at, crashed) {
             return;
         }
         self.report.worker_crashes += 1;
-        self.incarnations[worker as usize] += 1;
-        let incarnation = self.incarnations[worker as usize];
-        if !self.log(
-            at,
-            RunEvent::WorkerRestarted {
-                node: worker,
-                incarnation,
-            },
-        ) {
-            return;
-        }
-        self.report.worker_restarts += 1;
-        self.strike(worker, at);
-        if self.crashed {
-            return;
-        }
-        self.jobs.remove(&job);
-        let Some(state) = self.tasks.get_mut(&task) else {
-            return;
-        };
-        state.live_jobs.retain(|&j| j != job);
-        let poisoned = match self.cfg.poison {
-            Some(policy) => state.poison.record_crash(&policy),
-            None => {
-                let never = PoisonPolicy {
-                    crash_limit: u32::MAX,
-                };
-                state.poison.record_crash(&never)
-            }
-        };
-        if poisoned {
-            self.finalize(task, Outcome::Poisoned, at);
-            return;
-        }
-        // The replica died without a vote: abandon it and let the
-        // strategy reopen a wave for a fresh replica (a fresh fault draw —
-        // re-running the same replica would crash identically forever).
-        let state = self.tasks.get_mut(&task).expect("task is live");
-        state.exec.abandon(1);
-        let boundary = state.exec.wave_boundary();
-        let wave = state.exec.waves() as u32;
-        if boundary && !self.log(at, RunEvent::WaveClosed { task, wave }) {
-            return;
-        }
-        self.advance(task, at);
+        self.discharge(at);
     }
 
     /// Respawns workers stuck inside one `execute` call past
@@ -2018,15 +2255,12 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
 
     fn respawn_worker(&mut self, worker: u32) {
         let at = self.stamp();
-        self.incarnations[worker as usize] += 1;
-        let incarnation = self.incarnations[worker as usize];
-        if !self.log(
-            at,
-            RunEvent::WorkerRestarted {
-                node: worker,
-                incarnation,
-            },
-        ) {
+        let incarnation = self.incarnations[worker as usize] + 1;
+        let restarted = RunEvent::WorkerRestarted {
+            node: worker,
+            incarnation,
+        };
+        if !self.log(at, restarted) {
             return;
         }
         self.report.worker_restarts += 1;
@@ -2036,41 +2270,34 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         // (so the detached thread's eventual reply is rejected) and
         // re-dispatch the same jobs under the new epoch, without new
         // journal records.
-        let lost: Vec<(u32, u32, u32)> = self
+        let mut lost: Vec<(u32, u32, u32)> = self
             .jobs
             .iter()
             .filter(|(_, info)| info.worker == worker)
             .map(|(&job, info)| (job, info.task, info.replica))
             .collect();
+        lost.sort_unstable();
         let mut bumped: HashSet<u32> = HashSet::new();
         for &(_, task, _) in &lost {
             if bumped.insert(task) {
-                let Some(state) = self.tasks.get_mut(&task) else {
+                let Some(state) = self.tasks.get(&task) else {
                     continue;
                 };
                 let epoch = state.epoch + 1;
                 if !self.log(at, RunEvent::EpochAdvanced { task, epoch }) {
                     return;
                 }
-                let state = self.tasks.get_mut(&task).expect("task is live");
-                state.epoch = epoch;
             }
         }
-        let mut lost = lost;
-        lost.sort_unstable();
         for (job, task, replica) in lost {
             if self.jobs.remove(&job).is_none() {
                 continue; // canceled while handling an earlier pair member
             }
-            if let Some(p) = self.hedge_pair.remove(&job) {
-                self.hedge_pair.remove(&p);
+            if let Some(p) = self.unpair(job) {
                 if self.twin_origin.contains_key(&job) {
                     // A hedge twin died with its worker: settle it and let
                     // the origin keep flying — recovery never re-arms
                     // twins, so the live run must not either.
-                    if let Some(state) = self.tasks.get_mut(&task) {
-                        state.live_jobs.retain(|&j| j != job);
-                    }
                     if !self.settle_twin(job, task, false, at) {
                         return;
                     }
@@ -2079,13 +2306,8 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                 // A hedged origin is re-armed below; its twin is canceled
                 // (its late reply drops as stale) so the re-armed origin
                 // stays the pair's sole voter.
-                if self.jobs.remove(&p).is_some() {
-                    if let Some(state) = self.tasks.get_mut(&task) {
-                        state.live_jobs.retain(|&j| j != p);
-                    }
-                    if !self.settle_twin(p, task, false, at) {
-                        return;
-                    }
+                if self.jobs.remove(&p).is_some() && !self.settle_twin(p, task, false, at) {
+                    return;
                 }
             }
             let Some(state) = self.tasks.get(&task) else {
@@ -2095,82 +2317,23 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         }
     }
 
-    /// Charges one node-discipline strike, quarantining or blacklisting
-    /// per policy — but never sidelining the last enabled worker, which
-    /// would livelock the pool.
-    fn strike(&mut self, worker: u32, at: SimTime) {
-        let Some(policy) = self.cfg.discipline else {
-            return;
-        };
-        let slot = worker as usize;
-        if slot >= self.discipline.len() || self.blacklisted[slot] {
-            return;
-        }
-        let window = self.cfg.strike_window.as_micros() as u64;
-        let action = self.discipline[slot].strike_at(at.as_micros(), window, &policy);
-        self.enact(worker, action, at, policy);
-    }
-
-    /// Charges [`AuditPolicy::strike_weight`] strikes in one blow — an
-    /// audit catching a lie is direct evidence, not a noisy signal like a
-    /// timeout, so it can quarantine immediately.
-    fn strike_weighted(&mut self, worker: u32, at: SimTime) {
-        let Some(policy) = self.cfg.discipline else {
-            return;
-        };
-        let slot = worker as usize;
-        if slot >= self.discipline.len() || self.blacklisted[slot] {
-            return;
-        }
-        let window = self.cfg.strike_window.as_micros() as u64;
-        let weight = self.cfg.audit.strike_weight.max(1);
-        let action =
-            self.discipline[slot].strike_weighted_at(weight, at.as_micros(), window, &policy);
-        self.enact(worker, action, at, policy);
-    }
-
-    /// Enacts a discipline action, never sidelining the last enabled
-    /// worker (which would livelock the pool).
-    fn enact(
-        &mut self,
-        worker: u32,
-        action: DisciplineAction,
-        at: SimTime,
-        policy: QuarantinePolicy,
-    ) {
-        let slot = worker as usize;
-        if action == DisciplineAction::None {
-            return;
-        }
-        if self.pool.enabled_count() <= 1 || !self.pool.is_enabled(worker) {
+    /// Sidelines `node` as a strike demands — but never the last enabled
+    /// worker, which would livelock the pool. The guard reads the pool's
+    /// enabled set, which only [`Self::apply`] changes, so replay reaches
+    /// the same decision.
+    fn enact(&mut self, node: u32, action: DisciplineAction, at: SimTime) {
+        if self.pool.enabled_count() <= 1 || !self.pool.is_enabled(node) {
             return; // livelock guard / already sidelined
         }
-        match action {
-            DisciplineAction::None => unreachable!(),
-            DisciplineAction::Quarantine => {
-                if !self.log(at, RunEvent::NodeQuarantined { node: worker }) {
-                    return;
-                }
-                self.pool.set_enabled(worker, false);
-                self.quarantined_until[slot] =
-                    Some(at + SimDuration::from_units(policy.quarantine_units));
-            }
-            DisciplineAction::Blacklist => {
-                let alive = self.log(
-                    at,
-                    RunEvent::NodeDeparted {
-                        node: worker,
-                        reason: DepartureReason::Blacklist,
-                    },
-                );
-                if !alive {
-                    return;
-                }
-                self.pool.set_enabled(worker, false);
-                self.blacklisted[slot] = true;
-                self.quarantined_until[slot] = None;
-            }
-        }
+        let event = match action {
+            DisciplineAction::None => return,
+            DisciplineAction::Quarantine => RunEvent::NodeQuarantined { node },
+            DisciplineAction::Blacklist => RunEvent::NodeDeparted {
+                node,
+                reason: DepartureReason::Blacklist,
+            },
+        };
+        self.log(at, event);
     }
 
     /// Re-enables quarantined workers whose sentence has elapsed.
@@ -2180,27 +2343,16 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         }
         let now = self.stamp();
         for worker in self.pool.node_ids() {
-            let slot = worker as usize;
-            if let Some(until) = self.quarantined_until[slot] {
-                if now >= until {
-                    if !self.log(now, RunEvent::NodeReleased { node: worker }) {
-                        return;
-                    }
-                    self.quarantined_until[slot] = None;
-                    self.pool.set_enabled(worker, true);
-                    // Probationary re-admission: the node's next results
-                    // force audits until it has proven itself again.
-                    if self.cfg.audit.is_enabled() {
-                        self.discipline[slot].begin_probation(self.cfg.audit.probation_audits);
-                    }
-                }
+            let due = self.quarantined_until[worker as usize].is_some_and(|until| now >= until);
+            if due && !self.log(now, RunEvent::NodeReleased { node: worker }) {
+                return;
             }
         }
     }
 
     fn expire_deadlines(&mut self, now: Instant) {
         while let Some(&Reverse((deadline, job, epoch))) = self.deadlines.peek() {
-            if deadline > now {
+            if deadline > now || self.crashed {
                 break;
             }
             self.deadlines.pop();
@@ -2217,19 +2369,12 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
             // flying is absorbed silently — no journal event, no strike,
             // no abandon — because the partner will supply the pair's
             // single terminal event under the origin's id.
-            let partner = self.hedge_pair.remove(&job);
-            if let Some(p) = partner {
-                self.hedge_pair.remove(&p);
+            let partner = self.unpair(job);
+            let origin = self.twin_origin.get(&job).copied();
+            if origin.is_some() && !self.settle_twin(job, task, false, at) {
+                return;
             }
-            let is_twin = self.twin_origin.contains_key(&job);
-            let origin_id = self.twin_origin.get(&job).copied().unwrap_or(job);
             if partner.is_some_and(|p| self.jobs.contains_key(&p)) {
-                if let Some(state) = self.tasks.get_mut(&task) {
-                    state.live_jobs.retain(|&j| j != job);
-                }
-                if is_twin && !self.settle_twin(job, task, false, at) {
-                    return;
-                }
                 continue;
             }
             // A solo lapse is a genuine deadline miss: it feeds the
@@ -2237,43 +2382,16 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
             if let Some(trigger) = self.hedge.as_mut() {
                 trigger.observe(at.since(info.dispatched_at).as_units());
             }
-            if is_twin && !self.settle_twin(job, task, false, at) {
-                return;
-            }
-            if !self.log(
-                at,
-                RunEvent::JobTimedOut {
-                    job: origin_id,
-                    task,
-                    node: info.worker,
-                },
-            ) {
+            let timed_out = RunEvent::JobTimedOut {
+                job: origin.unwrap_or(job),
+                task,
+                node: info.worker,
+            };
+            if !self.log(at, timed_out) {
                 return;
             }
             self.report.timeouts += 1;
-            self.strike(info.worker, at);
-            if self.crashed {
-                return;
-            }
-            let Some(state) = self.tasks.get_mut(&task) else {
-                continue;
-            };
-            state.live_jobs.retain(|&j| j != job);
-            state.timeouts += 1;
-            let attempt = state.timeouts;
-            state.exec.abandon(1);
-            let boundary = state.exec.wave_boundary();
-            let wave = state.exec.waves() as u32;
-            // Reissue semantics: the abandoned replica is replaced by a
-            // fresh one when the strategy reopens the wave below.
-            if !self.log(at, RunEvent::JobRetried { task, attempt }) {
-                return;
-            }
-            self.report.retries += 1;
-            if boundary && !self.log(at, RunEvent::WaveClosed { task, wave }) {
-                return;
-            }
-            self.advance(task, at);
+            self.discharge(at);
         }
     }
 
@@ -2295,35 +2413,29 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         // which keeps audit outcomes a pure function of the journaled
         // stream, replayable after a crash.
         let state = self.tasks.get(&task).expect("auditing a live task");
-        let _honest = state.payload.execute();
-        let liars: Vec<(u32, u32)> = state
+        let _honest = state.payload().execute();
+        let liars: Vec<u32> = state
             .returns
             .iter()
             .filter(|&&(_, _, vote)| !vote)
-            .map(|&(job, node, _)| (job, node))
+            .map(|&(_, node, _)| node)
             .collect();
         if liars.is_empty() {
-            if !self.log(at, RunEvent::AuditPassed { task }) {
-                return false;
-            }
-            let state = self.tasks.get_mut(&task).expect("task is live");
-            state.must_audit = false;
-            return true;
+            return self.log(at, RunEvent::AuditPassed { task });
         }
-        for &(_, node) in &liars {
+        for &node in &liars {
             if !self.log(at, RunEvent::AuditFailed { task, node }) {
                 return false;
             }
             self.report.audit_failures += 1;
-            self.escalated = true;
-            self.strike_weighted(node, at);
+            self.discharge(at);
             if self.crashed {
                 return false;
             }
         }
         // Retaliation: the caught liars' other open work can no longer be
         // trusted — re-tally every open task they touched from scratch.
-        let caught: HashSet<u32> = liars.iter().map(|&(_, node)| node).collect();
+        let caught: HashSet<u32> = liars.into_iter().collect();
         let mut touched: Vec<u32> = self
             .tasks
             .iter()
@@ -2332,60 +2444,48 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
             .collect();
         touched.sort_unstable();
         for t in touched {
-            if !self.log(at, RunEvent::TaskRetallied { task: t }) {
-                return false;
-            }
-            self.report.tasks_retallied += 1;
-            self.purge_and_reset(t, at);
-            self.advance(t, at);
-            if self.crashed {
+            if !self.restart(t, RunEvent::TaskRetallied { task: t }, at) {
                 return false;
             }
         }
+        // Liars voted, but the tally's winner matches the recomputation:
+        // the verdict stands. Otherwise the coalition won the tally: void
+        // the would-be verdict before acceptance and re-run the task — no
+        // `VerdictReached` is ever logged for this attempt.
         if value {
-            // Liars voted, but the tally's winner matches the
-            // recomputation: the verdict stands. (The task leaves `tasks`
-            // at finalize, so its `must_audit` flag dies with it.)
             return true;
         }
-        // The coalition won the tally: the would-be verdict contradicts
-        // the recomputation. Void it before acceptance and re-run the
-        // task — no `VerdictReached` is ever logged for this attempt.
-        if !self.log(at, RunEvent::VerdictVoided { task }) {
-            return false;
-        }
-        self.report.verdicts_voided += 1;
-        self.purge_and_reset(task, at);
-        self.advance(task, at);
+        self.restart(task, RunEvent::VerdictVoided { task }, at);
         false
     }
 
-    /// Voids a task's accumulated evidence: drops its in-flight jobs
-    /// (their late replies become stale via the job-map freshness check),
-    /// resets the strategy state to wave 1 with a fresh job budget, and
-    /// forgets recorded returns. Replica ordinals and epochs stay monotone
-    /// so fault draws never repeat across attempts.
-    fn purge_and_reset(&mut self, task: u32, at: SimTime) {
-        let live: Vec<u32> = match self.tasks.get_mut(&task) {
-            Some(state) => state.live_jobs.drain(..).collect(),
-            None => return,
+    /// Logs a void or re-tally of `task` — whose `apply` burns the
+    /// attempt's evidence and restarts its strategy from wave 1 with a
+    /// fresh job budget — then cancels its in-flight jobs and parked
+    /// replicas and steps it again. Replica ordinals and epochs stay
+    /// monotone so fault draws never repeat across attempts. Returns
+    /// whether the coordinator is still alive.
+    fn restart(&mut self, task: u32, event: RunEvent, at: SimTime) -> bool {
+        let Some(state) = self.tasks.get(&task) else {
+            return !self.crashed; // decided while an earlier re-tally ran
         };
-        for job in live {
-            self.jobs.remove(&job);
-            if let Some(p) = self.hedge_pair.remove(&job) {
-                self.hedge_pair.remove(&p);
-            }
-            if self.twin_origin.contains_key(&job) && !self.settle_twin(job, task, false, at) {
-                return;
-            }
+        let jobs = state.jobs();
+        if !self.log(at, event) {
+            return false;
         }
-        let state = self.tasks.get_mut(&task).expect("checked above");
-        state.exec.reset();
-        state.returns.clear();
-        state.answers = [None, None];
-        state.must_audit = false;
-        self.pending.retain(|&(t, _)| t != task);
+        if matches!(event, RunEvent::VerdictVoided { .. }) {
+            self.report.verdicts_voided += 1;
+        } else {
+            self.report.tasks_retallied += 1;
+        }
+        if !self.cancel(&jobs, task, at) {
+            return false;
+        }
+        self.tasks.get_mut(&task).expect("restarted task").answers = [None, None];
+        self.pending.retain(|&t| t != task);
         self.rearm.retain(|&(_, t, _, _)| t != task);
+        self.advance(task, at);
+        !self.crashed
     }
 
     fn finalize(&mut self, task: u32, outcome: Outcome, at: SimTime) {
@@ -2405,92 +2505,68 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                 }
             }
         }
+        let state = self.tasks.get_mut(&task).expect("finalizing a live task");
+        let client = state.client.take();
+        let jobs = state.jobs();
+        let waves = state.exec.waves();
+        let (vote, event) = match outcome {
+            Outcome::Verdict(value) => (
+                Some(value),
+                RunEvent::VerdictReached {
+                    task,
+                    value,
+                    degraded: false,
+                    confidence: 1.0,
+                },
+            ),
+            Outcome::Capped => (None, RunEvent::TaskCapped { task }),
+            Outcome::Poisoned => (
+                None,
+                RunEvent::TaskPoisoned {
+                    task,
+                    crashes: state.poison.crashes(),
+                },
+            ),
+        };
+        let verdict = TaskVerdict {
+            task,
+            vote,
+            answer: vote.and_then(|v| state.answers[usize::from(v)]),
+            poisoned: matches!(outcome, Outcome::Poisoned),
+            latency_units: state.first_dispatch.map_or(0.0, |s| at.since(s).as_units()),
+            jobs: state.exec.jobs_deployed() as u32,
+        };
         // The decision is WAL-durable before any side effect (report
         // update, verdict send) — the exactly-once anchor: a recovered
         // coordinator treats a logged decision as delivered and never
-        // re-runs or re-sends it.
-        let event = match outcome {
-            Outcome::Verdict(value) => RunEvent::VerdictReached {
-                task,
-                value,
-                degraded: false,
-                confidence: 1.0,
-            },
-            Outcome::Capped => RunEvent::TaskCapped { task },
-            Outcome::Poisoned => RunEvent::TaskPoisoned {
-                task,
-                crashes: self.tasks[&task].poison.crashes(),
-            },
-        };
-        let mut alive = self.log(at, event);
-        if alive {
-            // The decision must be fsync-durable before any side effect,
-            // whatever the group-commit batch says. A failed commit kills
-            // the coordinator, and the decision must then not be
-            // delivered — recovery re-runs the task from the prefix.
-            self.commit_wal();
-            alive = !self.crashed;
-        }
-        let state = self.tasks.remove(&task).expect("finalizing a live task");
-        for &job in &state.live_jobs {
-            self.jobs.remove(&job);
-            if let Some(p) = self.hedge_pair.remove(&job) {
-                self.hedge_pair.remove(&p);
-            }
-            if alive && self.twin_origin.contains_key(&job) {
-                let _ = self.settle_twin(job, task, false, at);
-            }
-        }
-        self.active.store(self.tasks.len(), Ordering::Relaxed);
-        if !alive {
+        // re-runs or re-sends it. It must be fsync-durable, whatever the
+        // group-commit batch says: a failed commit kills the coordinator,
+        // and the decision must then not be delivered — recovery re-runs
+        // the task from the prefix.
+        if !self.log(at, event) {
             return;
         }
-        self.decided.insert(task);
-        let jobs = state.exec.jobs_deployed();
-        let latency = match state.first_dispatch {
-            Some(started) => at.since(started).as_units(),
-            None => 0.0,
-        };
+        self.commit_wal();
+        if self.crashed {
+            return;
+        }
+        self.active.store(self.tasks.len(), Ordering::Relaxed);
+        let _ = self.cancel(&jobs, task, at);
         match outcome {
             Outcome::Verdict(value) => {
                 self.report.tasks_completed += 1;
                 if value {
                     self.report.tasks_correct += 1;
                 }
-                self.report.jobs_per_task.record(jobs as f64);
-                self.report.waves_per_task.record(state.exec.waves() as f64);
-                self.report.response_time.record(latency);
-                let _ = state.verdict_tx.send(TaskVerdict {
-                    task,
-                    vote: Some(value),
-                    answer: state.answers[usize::from(value)],
-                    poisoned: false,
-                    latency_units: latency,
-                    jobs: jobs as u32,
-                });
+                self.report.jobs_per_task.record(f64::from(verdict.jobs));
+                self.report.waves_per_task.record(waves as f64);
+                self.report.response_time.record(verdict.latency_units);
             }
-            Outcome::Capped => {
-                self.report.tasks_capped += 1;
-                let _ = state.verdict_tx.send(TaskVerdict {
-                    task,
-                    vote: None,
-                    answer: None,
-                    poisoned: false,
-                    latency_units: latency,
-                    jobs: jobs as u32,
-                });
-            }
-            Outcome::Poisoned => {
-                self.report.tasks_poisoned += 1;
-                let _ = state.verdict_tx.send(TaskVerdict {
-                    task,
-                    vote: None,
-                    answer: None,
-                    poisoned: true,
-                    latency_units: latency,
-                    jobs: jobs as u32,
-                });
-            }
+            Outcome::Capped => self.report.tasks_capped += 1,
+            Outcome::Poisoned => self.report.tasks_poisoned += 1,
+        }
+        if let Some(client) = client {
+            let _ = client.verdict_tx.send(verdict);
         }
     }
 }

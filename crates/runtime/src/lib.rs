@@ -21,8 +21,9 @@
 //! * [`workload`] — the job payloads replicas execute;
 //! * [`report`] — live metrics plus [`report_from_journal`], the exact
 //!   replay cross-check;
-//! * [`recovery`] — WAL replay: rebuilds full coordinator state from a
-//!   journal prefix so [`Runtime::recover`] can resume a crashed run;
+//! * [`recovery`] — WAL replay's errors and report: [`Runtime::recover`]
+//!   feeds a journal prefix through the coordinator's own state
+//!   transitions to resume a crashed run;
 //! * [`checkpoint`] — checksummed coordinator snapshots taken at
 //!   quiescence so recovery replays snapshot + WAL suffix instead of the
 //!   whole history, and old WAL segments can be truncated;

@@ -523,6 +523,69 @@ fn replay_refuses_every_log_the_strategy_contradicts() {
     let _ = std::fs::remove_file(&wal);
 }
 
+/// A resolution (return, timeout or worker crash) of a task with no
+/// replica outstanding is a log no coordinator writes: refused as
+/// `Corrupt`, never a panic inside the strategy machine.
+#[test]
+fn replay_refuses_a_resolution_with_no_replica_outstanding() {
+    let at = smartred_desim::time::SimTime::from_micros;
+    let wal = wal_path("nothing-outstanding");
+    let resolutions = [
+        RunEvent::JobReturned {
+            job: 3,
+            task: 0,
+            node: 0,
+            value: true,
+        },
+        RunEvent::JobTimedOut {
+            job: 3,
+            task: 0,
+            node: 0,
+        },
+        RunEvent::WorkerCrashed {
+            node: 0,
+            job: 3,
+            task: 0,
+        },
+    ];
+    for last in resolutions {
+        let mut log = Journal::new();
+        log.record(
+            at(10),
+            RunEvent::WaveOpened {
+                task: 0,
+                wave: 1,
+                jobs: 3,
+            },
+        );
+        for job in 0..3 {
+            log.record(
+                at(20),
+                RunEvent::JobReturned {
+                    job,
+                    task: 0,
+                    node: 0,
+                    value: job != 1,
+                },
+            );
+        }
+        log.record(at(30), last);
+        std::fs::write(&wal, log.to_jsonl()).unwrap();
+        let recovered = Runtime::recover(
+            chaos_cfg(Some(wal.clone())),
+            Iterative::new(VoteMargin::new(MARGIN).unwrap()),
+            |_| Box::new(FaultyWorker::new(SEED, chaos_profile())) as Box<dyn Worker>,
+            &roster(1),
+        );
+        match recovered {
+            Err(RecoveryError::Corrupt(_)) => {}
+            Err(err) => panic!("{last:?}: expected Corrupt, got {err:?}"),
+            Ok(_) => panic!("{last:?}: recovery accepted the log"),
+        }
+    }
+    let _ = std::fs::remove_file(&wal);
+}
+
 /// Worker panics are caught and healed in place: with a never-poisoning
 /// policy, a heavily crash-prone pool still completes every task, one
 /// restart per caught panic, and the journal folds to the live report.
@@ -1204,6 +1267,57 @@ mod precursor_sweep {
         }
     }
 
+    /// Every cut that ends on a `JobReturned`: the crash fell between a
+    /// vote and its tally. Recovery tallies the vote itself, so the run
+    /// converges and, as in any live run, each task logs one
+    /// `VoteTallied` per `JobReturned`.
+    #[test]
+    fn flat_tallies_the_vote_of_every_returned_prefix() {
+        quiet_injected_panics();
+        let tasks = roster(8);
+        let (golden, _) = run_roster(chaos_cfg(None), &tasks);
+        let want = shape(&golden.journal);
+        let cuts: Vec<usize> = golden
+            .journal
+            .events()
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| matches!(e.event, RunEvent::JobReturned { .. }))
+            .map(|(i, _)| i + 1)
+            .collect();
+        assert!(!cuts.is_empty(), "the golden run returns votes");
+        for cut in cuts {
+            let wal = wal_path(&format!("precursor-returned-{cut}"));
+            std::fs::write(&wal, prefix_text(&golden.journal, cut)).unwrap();
+            let (runtime, client, _) = Runtime::recover(
+                chaos_cfg(Some(wal.clone())),
+                iterative(),
+                chaos_worker,
+                &tasks,
+            )
+            .expect("WAL recovery");
+            drop(client);
+            let run = runtime.finish();
+            assert!(!run.crashed);
+            assert_converged("flat returned", cut, &golden.journal, &want, &run.journal);
+            let mut untallied: HashMap<u32, i64> = HashMap::new();
+            for e in run.journal.events() {
+                match e.event {
+                    RunEvent::JobReturned { task, .. } => *untallied.entry(task).or_default() += 1,
+                    RunEvent::VoteTallied { task, .. } => *untallied.entry(task).or_default() -= 1,
+                    _ => {}
+                }
+            }
+            untallied.retain(|_, n| *n != 0);
+            assert!(
+                untallied.is_empty(),
+                "cut {cut}: returns minus tallies per task {untallied:?}"
+            );
+            assert_eq!(report_from_journal(&run.journal), run.report);
+            let _ = std::fs::remove_file(&wal);
+        }
+    }
+
     /// A chaos worker on a straggler-prone machine: a fixed sixteenth of
     /// `(worker, task, replica)` placements run 30x slow, so hedge twins
     /// launch, while the vote and the crash stay the placement-free
@@ -1365,5 +1479,128 @@ mod precursor_sweep {
         }
         cleanup(&first);
         cleanup(&golden_wal);
+    }
+}
+
+mod owed_reactions {
+    //! A crash between a logged timeout and the reactions it triggers —
+    //! the node's strike, the retry — leaves them owed. Recovery performs
+    //! them, in live order, before anything else: each is a pure function
+    //! of the log.
+
+    use super::*;
+    use smartred_core::resilience::QuarantinePolicy;
+    use smartred_desim::time::SimTime;
+
+    /// One task's first wave of three replicas on workers 0, 1 and 0, and
+    /// the timeout of job 0 on worker 0: the last durable event.
+    fn timed_out_prefix() -> Journal {
+        let at = SimTime::from_micros;
+        let mut log = Journal::new();
+        log.record(
+            at(10),
+            RunEvent::WaveOpened {
+                task: 0,
+                wave: 1,
+                jobs: 3,
+            },
+        );
+        for (job, node) in [(0, 0), (1, 1), (2, 0)] {
+            let eta = at(30_000_020);
+            log.record(
+                at(20),
+                RunEvent::JobDispatched {
+                    job,
+                    task: 0,
+                    node,
+                    eta,
+                },
+            );
+        }
+        log.record(
+            at(40),
+            RunEvent::JobTimedOut {
+                job: 0,
+                task: 0,
+                node: 0,
+            },
+        );
+        log
+    }
+
+    fn honest_worker(_: u32) -> Box<dyn Worker> {
+        Box::new(FaultyWorker::new(
+            SEED,
+            FaultProfile {
+                wrong_rate: 0.0,
+                hang_rate: 0.0,
+                crash_rate: 0.0,
+                think: Duration::ZERO,
+            },
+        ))
+    }
+
+    /// Recovers a two-worker runtime from the timed-out prefix and returns
+    /// the events it logged after the prefix.
+    fn recover_after_timeout(name: &str, discipline: Option<QuarantinePolicy>) -> Vec<RunEvent> {
+        let prefix = timed_out_prefix();
+        let wal = wal_path(name);
+        std::fs::write(&wal, prefix.to_jsonl()).unwrap();
+        let mut cfg = chaos_cfg(Some(wal.clone()));
+        cfg.workers = Some(2);
+        cfg.discipline = discipline;
+        let (runtime, client, _) = Runtime::recover(
+            cfg,
+            Iterative::new(VoteMargin::new(MARGIN).unwrap()),
+            honest_worker,
+            &roster(1),
+        )
+        .expect("WAL recovery");
+        let verdict = client
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the resumed task is decided");
+        assert_eq!(verdict.vote, Some(true));
+        drop(client);
+        let run = runtime.finish();
+        assert!(!run.crashed);
+        assert_eq!(report_from_journal(&run.journal), run.report);
+        let _ = std::fs::remove_file(&wal);
+        run.journal.events()[prefix.len()..]
+            .iter()
+            .map(|e| e.event)
+            .collect()
+    }
+
+    #[test]
+    fn recovery_logs_the_retry_a_timeout_owes() {
+        let after = recover_after_timeout("owed-retry", None);
+        assert_eq!(
+            after.first(),
+            Some(&RunEvent::JobRetried {
+                task: 0,
+                attempt: 1
+            }),
+            "{after:?}"
+        );
+    }
+
+    #[test]
+    fn recovery_quarantines_the_node_a_logged_strike_demands() {
+        let policy = QuarantinePolicy {
+            strike_limit: 1,
+            ..QuarantinePolicy::default()
+        };
+        let after = recover_after_timeout("owed-quarantine", Some(policy));
+        assert_eq!(
+            after[..2],
+            [
+                RunEvent::NodeQuarantined { node: 0 },
+                RunEvent::JobRetried {
+                    task: 0,
+                    attempt: 1
+                },
+            ],
+            "{after:?}"
+        );
     }
 }
