@@ -780,8 +780,7 @@ struct TaskState<S> {
 
 impl<S: RedundancyStrategy<bool>> TaskState<S> {
     fn payload(&self) -> Arc<Payload> {
-        let client = self.client.as_ref();
-        client.expect("payload attached").payload.clone()
+        self.client.as_ref().expect("attached").payload.clone()
     }
 
     /// Takes `job` out of flight ahead of resolving one outstanding
@@ -827,7 +826,7 @@ type Strike = Option<(u32, DisciplineAction)>;
 /// chain, from the previous debt), so after replay it names exactly what
 /// a crash cut off — recovery pays it through the same
 /// [`Coordinator::discharge`] the live path runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Clone, Copy, Default)]
 enum Owed {
     #[default]
     Nothing,
