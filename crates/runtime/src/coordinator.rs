@@ -830,15 +830,20 @@ type Strike = Option<(u32, DisciplineAction)>;
 enum Owed {
     #[default]
     Nothing,
-    /// A vote landed: tally it, then settle the task.
-    Tally { task: u32, value: bool },
+    /// A vote landed: log its `VoteTallied`, then settle the task.
+    Tally(RunEvent),
     /// A job timed out: sideline its node if the strike demands, log the
     /// retry, then settle the task.
-    Retry { task: u32, strike: Strike },
+    Retry {
+        task: u32,
+        attempt: u32,
+        strike: Strike,
+    },
     /// A worker crashed: log its in-place restart, then as `Poison`.
     Restart {
         task: u32,
         node: u32,
+        incarnation: u32,
         strike: Strike,
         poisoned: bool,
     },
@@ -870,7 +875,11 @@ impl Owed {
     /// guard).
     fn sidelined(self) -> Self {
         match self {
-            Owed::Retry { task, .. } => Owed::Retry { task, strike: None },
+            Owed::Retry { task, attempt, .. } => Owed::Retry {
+                task,
+                attempt,
+                strike: None,
+            },
             Owed::Poison { task, poisoned, .. } => Owed::Poison {
                 task,
                 strike: None,
@@ -1189,7 +1198,13 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                 {
                     state.must_audit = true;
                 }
-                Owed::Tally { task, value }
+                let (leader_count, runner_up) = state.exec.leader_counts();
+                Owed::Tally(RunEvent::VoteTallied {
+                    task,
+                    value,
+                    leader_count: leader_count as u32,
+                    runner_up: runner_up as u32,
+                })
             }
             RunEvent::JobTimedOut { job, task, node } => {
                 let Some(state) = self.tasks.get_mut(&task) else {
@@ -1200,8 +1215,11 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                 }
                 state.timeouts += 1;
                 state.exec.abandon(1);
+                // Reissue semantics: the abandoned replica is replaced by a
+                // fresh one when the strategy reopens the wave.
                 Owed::Retry {
                     task,
+                    attempt: state.timeouts,
                     strike: self.charge(node, 1, at),
                 }
             }
@@ -1223,6 +1241,7 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                 Owed::Restart {
                     task,
                     node,
+                    incarnation: self.incarnations.get(node as usize).map_or(1, |i| i + 1),
                     strike: self.charge(node, 1, at),
                     poisoned,
                 }
@@ -1237,6 +1256,7 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                         node: crashed,
                         strike,
                         poisoned,
+                        ..
                     } if crashed == node => Owed::Poison {
                         task,
                         strike,
@@ -1733,28 +1753,17 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
             // advances `owed`, or advances it itself.
             match self.owed {
                 Owed::Nothing => return,
-                Owed::Tally { task, value } => {
-                    let (leader_count, runner_up) = self.tasks[&task].exec.leader_counts();
-                    self.log(
-                        at,
-                        RunEvent::VoteTallied {
-                            task,
-                            value,
-                            leader_count: leader_count as u32,
-                            runner_up: runner_up as u32,
-                        },
-                    );
+                Owed::Tally(tallied) => {
+                    self.log(at, tallied);
                 }
-                Owed::Retry { task, .. } => {
-                    // Reissue semantics: the abandoned replica is replaced
-                    // by a fresh one when the strategy reopens the wave.
-                    let attempt = self.tasks[&task].timeouts;
+                Owed::Retry { task, attempt, .. } => {
                     if self.log(at, RunEvent::JobRetried { task, attempt }) {
                         self.report.retries += 1;
                     }
                 }
-                Owed::Restart { node, .. } => {
-                    let incarnation = self.incarnations.get(node as usize).map_or(1, |i| i + 1);
+                Owed::Restart {
+                    node, incarnation, ..
+                } => {
                     if self.log(at, RunEvent::WorkerRestarted { node, incarnation }) {
                         self.report.worker_restarts += 1;
                     }
