@@ -45,6 +45,7 @@
 //! replacement replica on a fresh RNG stream.
 
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -779,6 +780,31 @@ struct TaskState<S> {
 }
 
 impl<S: RedundancyStrategy<bool>> TaskState<S> {
+    /// A fresh task record; `client` is `None` for a task the replay
+    /// opens, until `Coordinator::resume` attaches its roster payload.
+    fn new(strategy: &Arc<S>, job_cap: Option<usize>, client: Option<Submission>) -> Self {
+        let mut exec = TaskExecution::new(strategy.clone());
+        if let Some(cap) = job_cap {
+            exec = exec.with_job_cap(cap);
+        }
+        TaskState {
+            exec,
+            replicas: 0,
+            next_replica: 0,
+            in_flight: Vec::new(),
+            timeouts: 0,
+            poison: TaskDiscipline::default(),
+            epoch: 0,
+            first_dispatch: None,
+            returns: Vec::new(),
+            must_audit: false,
+            closed_wave: 0,
+            client,
+            answers: [None, None],
+            twins: Vec::new(),
+        }
+    }
+
     fn payload(&self) -> Arc<Payload> {
         self.client.as_ref().expect("attached").payload.clone()
     }
@@ -1045,31 +1071,6 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         (coordinator, submit_tx)
     }
 
-    /// A fresh task record; `client` is `None` for a task the replay
-    /// opens, until [`Self::resume`] attaches its roster payload.
-    fn new_task(&self, client: Option<Submission>) -> TaskState<S> {
-        let mut exec = TaskExecution::new(self.strategy.clone());
-        if let Some(cap) = self.cfg.job_cap {
-            exec = exec.with_job_cap(cap);
-        }
-        TaskState {
-            exec,
-            replicas: 0,
-            next_replica: 0,
-            in_flight: Vec::new(),
-            timeouts: 0,
-            poison: TaskDiscipline::default(),
-            epoch: 0,
-            first_dispatch: None,
-            returns: Vec::new(),
-            must_audit: false,
-            closed_wave: 0,
-            client,
-            answers: [None, None],
-            twins: Vec::new(),
-        }
-    }
-
     /// Whether `node` belongs to this coordinator's pool.
     fn owns(&self, node: u32) -> bool {
         self.pool.node_ids().contains(&node)
@@ -1127,14 +1128,15 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         let owed = std::mem::take(&mut self.owed);
         self.owed = match event {
             RunEvent::WaveOpened { task, wave, jobs } => {
-                if self.decided.contains(&task) {
-                    return corrupt(format!("wave opened for decided task {task}"));
-                }
-                if !self.tasks.contains_key(&task) {
-                    let state = self.new_task(None);
-                    self.tasks.insert(task, state);
-                }
-                let state = self.tasks.get_mut(&task).expect("just ensured");
+                let state = match self.tasks.entry(task) {
+                    Entry::Occupied(open) => open.into_mut(),
+                    Entry::Vacant(_) if self.decided.contains(&task) => {
+                        return corrupt(format!("wave opened for decided task {task}"));
+                    }
+                    Entry::Vacant(slot) => {
+                        slot.insert(TaskState::new(&self.strategy, self.cfg.job_cap, None))
+                    }
+                };
                 let step = state.exec.step_wave();
                 if !matches!(step, WaveStep::Wave { wave: w, jobs: j }
                     if w as u32 == wave && j as u32 == jobs)
@@ -1729,7 +1731,7 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
 
     fn admit_one(&mut self, sub: Submission) {
         let task = sub.task;
-        let state = self.new_task(Some(sub));
+        let state = TaskState::new(&self.strategy, self.cfg.job_cap, Some(sub));
         self.tasks.insert(task, state);
         self.active.store(self.tasks.len(), Ordering::Relaxed);
         let at = self.stamp();
@@ -1780,32 +1782,29 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                 Owed::Sideline(_) => self.owed = Owed::Nothing,
                 Owed::Settle(task) => {
                     self.owed = Owed::Nothing;
-                    let Some(state) = self.tasks.get(&task) else {
-                        continue;
-                    };
-                    let wave = state.exec.waves() as u32;
-                    if state.exec.wave_boundary() && wave > state.closed_wave {
-                        self.log(at, RunEvent::WaveClosed { task, wave });
-                    } else {
-                        self.advance(task, at);
-                    }
+                    self.advance(task, at);
                 }
             }
         }
     }
 
-    /// Steps the task's strategy until it parks (pending/verdict/cap),
-    /// queueing any opened wave's replicas for dispatch.
+    /// Steps the task's strategy until it parks (pending/verdict/cap):
+    /// closes a wave that has just drained, and queues any opened wave's
+    /// replicas for dispatch.
     fn advance(&mut self, task: u32, at: SimTime) {
         while let Some(state) = self.tasks.get(&task) {
             // Strategies decide only once a wave has drained, and then on
             // a copy: the logged `WaveOpened` steps the task's own machine
             // in `apply`, exactly as replay does.
-            let step = if state.exec.outstanding() > 0 {
-                WaveStep::Pending
-            } else {
-                state.exec.clone().step_wave()
-            };
+            if state.exec.outstanding() > 0 {
+                return;
+            }
+            let wave = state.exec.waves() as u32;
+            let drained = state.exec.wave_boundary() && wave > state.closed_wave;
+            let step = state.exec.clone().step_wave();
+            if drained && !self.log(at, RunEvent::WaveClosed { task, wave }) {
+                return;
+            }
             match step {
                 WaveStep::Wave { wave, jobs } => {
                     // Wave durable before its replicas become dispatchable.
