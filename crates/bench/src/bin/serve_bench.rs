@@ -44,7 +44,7 @@
 //! coordinators with disjoint WAL segments and worker sub-pools behind a
 //! router that owns admission. Combined with `--bench-json <path>` it
 //! instead sweeps shard counts {1, 2, 4, …, N} under a durable
-//! per-event-fsync WAL and writes the throughput-vs-shards baseline
+//! fsynced WAL (one commit per coordinator loop iteration) and writes the throughput-vs-shards baseline
 //! (`BENCH_7.json`);
 //! the sweep is coordination-bound (zero-work payloads) so it measures
 //! exactly what sharding scales — the coordinator/WAL plane, at matched
@@ -106,9 +106,9 @@ use smartred_desim::disk::DiskFaultPlan;
 use smartred_desim::journal::{Journal, RunEvent, WalWriter};
 use smartred_desim::time::SimTime;
 use smartred_runtime::{
-    report_from_journal, CartelWorker, Client, FaultProfile, FaultyWorker, JobAssignment, Payload,
-    RecoveryError, Runtime, RuntimeConfig, RuntimeRun, ShardedClient, ShardedConfig,
-    ShardedRuntime, SubmitOutcome, TaskVerdict, Worker,
+    min_wal_commits, report_from_journal, CartelWorker, Client, FaultProfile, FaultyWorker,
+    JobAssignment, Payload, RecoveryError, Runtime, RuntimeConfig, RuntimeRun, ShardedClient,
+    ShardedConfig, ShardedRuntime, SubmitOutcome, TaskVerdict, Worker,
 };
 use smartred_sat::{decompose, random_3sat, CnfFormula, ThreeSatConfig};
 
@@ -1033,7 +1033,7 @@ fn bench_json(args: &Args, path: &str) {
 }
 
 /// One leg of the shard sweep: a closed-loop run of zero-work synthetic
-/// tasks on the sharded runtime with a durable per-event-fsync WAL, so
+/// tasks on the sharded runtime with a durable fsynced WAL, so
 /// the measurement isolates the coordination plane — the thing sharding
 /// scales — rather than worker arithmetic. Each shard's fsync stream is
 /// serialized by its coordinator; N shards overlap N streams.
@@ -1048,7 +1048,6 @@ fn measure_shards(args: &Args, shards: usize, window: usize) -> Outcome {
             queue_cap: window,
             max_active: window,
             deadline: Duration::from_secs(5),
-            wal_batch: 1,
             ..RuntimeConfig::default()
         },
         shards,
@@ -1165,7 +1164,7 @@ fn bench7_json(args: &Args, path: &str) {
     let json = format!(
         "{{\n  \"bench\": 7,\n  \"name\": \"serve_bench throughput-vs-shards sweep\",\n  \
          \"tasks\": {},\n  \"workers\": {},\n  \"seed\": {},\n  \"wrong_rate\": {WRONG_RATE},\n  \
-         \"margin\": {MARGIN},\n  \"wal_batch\": 1,\n  \"speedup_max_over_one\": {speedup:.2},\n  \
+         \"margin\": {MARGIN},\n  \"wal_commit\": \"loop_iteration\",\n  \"speedup_max_over_one\": {speedup:.2},\n  \
          \"runs\": [\n{}\n  ]\n}}\n",
         args.tasks,
         args.workers,
@@ -1896,19 +1895,42 @@ fn disk_chaos_mode(args: &Args) -> i32 {
     let dir = std::env::temp_dir().join(format!("smartred-disk-chaos-{}", std::process::id()));
     let mut failed = false;
 
+    // The coordinator commits once per loop iteration, so the disk sees
+    // one write (and fsync) per commit. Every schedule of this roster
+    // makes at least `commits` of them: each fault is placed below that
+    // bound so it fires whatever the interleaving.
+    let commits = min_wal_commits(&golden.journal);
+    println!("disk-chaos: every schedule makes at least {commits} WAL commits");
+    assert!(commits >= 4, "too few commits to place the faults");
+
     // Detectable faults: each must crash the coordinator (fail-stop, never
     // limp on over a disk it cannot trust), then recover cleanly.
-    type ArmFault = fn(&mut DiskFaultPlan);
-    let legs: [(&str, ArmFault); 3] = [
-        ("failed-fsync", |p| p.fail_fsync_at = Some(20)),
-        ("short-write", |p| p.short_write_at = Some(30)),
-        ("power-loss", |p| p.crash_after_writes = Some(40)),
+    let legs: [(&str, DiskFaultPlan); 3] = [
+        (
+            "failed-fsync",
+            DiskFaultPlan {
+                fail_fsync_at: Some(commits / 4),
+                ..DiskFaultPlan::none(seed ^ 0xd15c)
+            },
+        ),
+        (
+            "short-write",
+            DiskFaultPlan {
+                short_write_at: Some(commits / 2),
+                ..DiskFaultPlan::none(seed ^ 0xd15c)
+            },
+        ),
+        (
+            "power-loss",
+            DiskFaultPlan {
+                crash_after_writes: Some(commits - 1),
+                ..DiskFaultPlan::none(seed ^ 0xd15c)
+            },
+        ),
     ];
-    for (name, arm) in legs {
+    for (name, plan) in legs {
         let wal = dir.join(format!("{name}.wal.jsonl"));
         let mut cfg = chaos_cfg(args, tasks, Some(wal.clone()));
-        let mut plan = DiskFaultPlan::none(seed ^ 0xd15c);
-        arm(&mut plan);
         cfg.disk_faults = Some(plan);
         let crashed = run_roster(cfg, margin, seed, None, false, &roster);
         if !crashed.crashed {
@@ -1947,14 +1969,15 @@ fn disk_chaos_mode(args: &Args) -> i32 {
         }
     }
 
-    // Silent bit rot: the disk flips one bit in place after the 25th
-    // write, the run completes none the wiser, and checksummed recovery
-    // must refuse the segment instead of replaying a corrupt record.
+    // Silent bit rot: the disk flips one bit in place after a write that
+    // every schedule makes and follows with another, the run completes
+    // none the wiser, and checksummed recovery must refuse the segment
+    // instead of replaying a corrupt record.
     let wal = dir.join("bit-rot.wal.jsonl");
     let mut cfg = chaos_cfg(args, tasks, Some(wal.clone()));
     cfg.wal_checksum = true;
     let mut plan = DiskFaultPlan::none(seed ^ 0xb17);
-    plan.flip_bit_after = Some(25);
+    plan.flip_bit_after = Some(commits - 1);
     cfg.disk_faults = Some(plan);
     let run = run_roster(cfg, margin, seed, None, false, &roster);
     assert!(!run.crashed, "bit rot is silent: the run must complete");
@@ -2022,20 +2045,23 @@ fn bench10_json(args: &Args, path: &str) -> i32 {
     std::fs::create_dir_all(&dir).expect("create bench10 dir");
 
     // 1) Append + fsync cost across the sync x batch grid (checksummed
-    //    framing, the hardened default for new WALs).
+    //    framing, the hardened default for new WALs): records are staged
+    //    and committed every `batch` of them — one write, and one fsync
+    //    when syncing, per commit.
     let mut append_rows = Vec::new();
     for sync in [false, true] {
-        for batch in [1u64, 16, 64] {
+        for batch in [1usize, 16, 64] {
             let wal = dir.join(format!("append-{sync}-{batch}.wal.jsonl"));
             let mut w = WalWriter::create(&wal, sync)
                 .expect("wal create")
-                .with_batch(batch)
                 .with_checksums(true);
             let start = Instant::now();
-            for e in journal.events() {
-                w.append(e).expect("wal append");
+            for chunk in journal.events().chunks(batch) {
+                for e in chunk {
+                    w.stage(e).expect("wal stage");
+                }
+                w.commit().expect("wal commit");
             }
-            w.commit().expect("wal commit");
             let secs = start.elapsed().as_secs_f64();
             let per_event_us = secs * 1e6 / n as f64;
             println!(
@@ -2058,12 +2084,13 @@ fn bench10_json(args: &Args, path: &str) -> i32 {
         let wal = dir.join(format!("replay-{checksums}.wal.jsonl"));
         let mut w = WalWriter::create(&wal, false)
             .expect("wal create")
-            .with_batch(64)
             .with_checksums(checksums);
-        for e in journal.events() {
-            w.append(e).expect("wal append");
+        for chunk in journal.events().chunks(64) {
+            for e in chunk {
+                w.stage(e).expect("wal stage");
+            }
+            w.commit().expect("wal commit");
         }
-        w.commit().expect("wal commit");
         let text = std::fs::read_to_string(&wal).expect("read wal");
         let start = Instant::now();
         let prefix = Journal::from_jsonl_prefix(&text).expect("replay parse");

@@ -37,8 +37,9 @@ pub type SharedStrategy = Rc<dyn RedundancyStrategy<bool>>;
 
 /// A task suffers at most this many audit voids: a verdict that keeps
 /// coming back tainted (a majority cartel with no discipline to thin it)
-/// is eventually accepted as-is rather than looping forever.
-const MAX_VOIDS: u32 = 4;
+/// is eventually accepted as-is rather than looping forever. The live
+/// runtime's coordinator applies the same cap.
+pub const MAX_VOIDS: u32 = 4;
 
 /// The per-run rules the lifecycle applies to every task.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -25,7 +25,8 @@ use std::path::Path;
 /// The file operations the WAL writer needs, virtualized so a fault
 /// injector can sit between the writer and the OS.
 pub trait Disk: Debug + Send {
-    /// Writes the whole buffer (one serialized record + newline).
+    /// Writes the whole buffer (one WAL commit: serialized records, each
+    /// newline-terminated).
     fn write_all(&mut self, buf: &[u8]) -> io::Result<()>;
     /// Flushes userspace buffers to the OS.
     fn flush(&mut self) -> io::Result<()>;

@@ -737,11 +737,17 @@ impl Stamped {
     /// [`from_jsonl_line`](Self::from_jsonl_line) verifies and strips the
     /// field.
     pub fn to_jsonl_line_checksummed(&self) -> String {
-        let mut line = self.to_jsonl_line();
-        let crc = fnv1a_64(line.as_bytes());
-        line.pop(); // the closing '}'
-        let _ = write!(line, ",\"crc\":\"{crc:016x}\"}}");
+        let mut line = String::with_capacity(160);
+        self.write_jsonl_checksummed(&mut line);
         line
+    }
+
+    fn write_jsonl_checksummed(&self, out: &mut String) {
+        let start = out.len();
+        self.write_jsonl(out);
+        let crc = fnv1a_64(&out.as_bytes()[start..]);
+        out.pop(); // the closing '}'
+        let _ = write!(out, ",\"crc\":\"{crc:016x}\"}}");
     }
 
     /// Parses one entry back from its [`to_jsonl_line`](Self::to_jsonl_line)
@@ -1147,34 +1153,33 @@ pub struct WalPrefix {
     pub valid_bytes: usize,
 }
 
-/// Durable appender for the JSONL write-ahead log.
+/// Durable appender for the JSONL write-ahead log, with group commit.
 ///
-/// Each [`append`](WalWriter::append) writes one complete
-/// `record + '\n'` in a single `write` call and flushes — with
-/// `sync = true` it also `fdatasync`s, so an acknowledged append survives
-/// process death and at most the *final* record of the file can ever be
-/// torn. The file contents stay byte-identical to
-/// [`Journal::to_jsonl`] of the events appended so far (or its
-/// checksummed equivalent under [`with_checksums`](WalWriter::with_checksums)).
+/// Records are [`stage`](WalWriter::stage)d into an in-memory buffer —
+/// no I/O — and [`commit`](WalWriter::commit) writes every staged record
+/// in one `write` call and flushes; with `sync = true` it then
+/// `fdatasync`s once. A committed record survives process death (and,
+/// synced, power loss); a staged one survives nothing. Callers hold back
+/// every externally visible effect of a record until the commit covering
+/// it returns — that ordering, not the per-record write, is what makes
+/// the log write-ahead. [`append`](WalWriter::append) is a stage plus a
+/// commit: one record per write (and per sync).
 ///
-/// ## Group commit
-///
-/// [`with_batch`](WalWriter::with_batch) amortizes the fsync tax: with a
-/// batch of `n`, only every `n`-th append pays the `fdatasync`, while each
-/// append still writes and flushes its complete record (so an in-process
-/// crash loses nothing — only power loss can drop the unsynced tail).
-/// Callers with an ordering barrier — "this event must be durable before
-/// its side effect" — force the sync early with
-/// [`commit`](WalWriter::commit). The default batch of 1 is the original
-/// sync-every-append behavior.
+/// The file contents stay byte-identical to [`Journal::to_jsonl`] of the
+/// events committed so far (or its checksummed equivalent under
+/// [`with_checksums`](WalWriter::with_checksums)). Against process death
+/// (and, synced, power loss) only the final commit can be torn: a crash
+/// mid-write leaves a whole-record prefix of it plus at most one partial
+/// record, which [`Journal::from_jsonl_prefix`] drops as a torn tail.
 ///
 /// ## Poisoning
 ///
 /// Any I/O error — a failed write, flush, or `fdatasync` — permanently
-/// poisons the writer: every later [`append`](WalWriter::append),
-/// [`commit`](WalWriter::commit), or [`truncate`](WalWriter::truncate)
-/// fails fast with the original error's message. A failed fsync in
-/// particular leaves the kernel free to have *dropped* the dirty pages
+/// poisons the writer: every later [`stage`](WalWriter::stage),
+/// [`append`](WalWriter::append), [`commit`](WalWriter::commit), or
+/// [`truncate`](WalWriter::truncate) fails fast with the original error's
+/// message, and the failed commit's records are discarded. A failed fsync
+/// in particular leaves the kernel free to have *dropped* the dirty pages
 /// (the fsyncgate failure class), so retrying the sync and continuing
 /// would silently lose acknowledged records; the only safe recovery is to
 /// reread the file through [`Journal::from_jsonl_prefix`].
@@ -1182,12 +1187,10 @@ pub struct WalPrefix {
 pub struct WalWriter {
     disk: Box<dyn crate::disk::Disk>,
     sync: bool,
-    /// Appends per fdatasync under group commit; 1 = sync every append.
-    batch: u64,
-    /// Appends since the last sync.
-    pending: u64,
     /// Write per-record checksums (see [`Stamped::to_jsonl_line_checksummed`]).
     checksum: bool,
+    /// Records staged since the last commit, each newline-terminated.
+    staged: String,
     /// The first I/O error message, once anything failed.
     poisoned: Option<String>,
 }
@@ -1197,9 +1200,8 @@ impl WalWriter {
         WalWriter {
             disk,
             sync,
-            batch: 1,
-            pending: 0,
             checksum: false,
+            staged: String::new(),
             poisoned: None,
         }
     }
@@ -1233,14 +1235,6 @@ impl WalWriter {
         Ok(writer)
     }
 
-    /// Enables group commit: `fdatasync` only every `every`-th append
-    /// (clamped to at least 1). See the type docs for the durability
-    /// trade-off.
-    pub fn with_batch(mut self, every: u64) -> Self {
-        self.batch = every.max(1);
-        self
-    }
-
     /// Enables (or disables) per-record checksums on appended lines.
     /// Checksummed and legacy records may interleave in one file; readers
     /// verify whatever framing each line carries.
@@ -1265,45 +1259,29 @@ impl WalWriter {
         result
     }
 
-    /// Appends one record: a single complete-line write plus flush, and —
-    /// when syncing is enabled — an `fdatasync` once the group-commit
-    /// batch fills. Callers act on the event *after* this returns, which
-    /// is what makes the log write-ahead; under a batch > 1 the durability
-    /// boundary against power loss is the batch, not the append, and
-    /// decision points call [`commit`](WalWriter::commit) to tighten it.
+    /// Encodes one record into the staging buffer, framed exactly as
+    /// [`Stamped::to_jsonl_line`] (or its checksummed form) plus a
+    /// newline. Does no I/O: the record reaches the file at the next
+    /// [`commit`](WalWriter::commit).
     ///
     /// # Errors
     ///
-    /// Fails on the underlying I/O error, after which the writer is
-    /// permanently poisoned — see the type docs.
-    pub fn append(&mut self, entry: &Stamped) -> std::io::Result<()> {
+    /// Fails only on a poisoned writer — see the type docs.
+    pub fn stage(&mut self, entry: &Stamped) -> std::io::Result<()> {
         self.guard()?;
-        let mut line = if self.checksum {
-            entry.to_jsonl_line_checksummed()
+        if self.checksum {
+            entry.write_jsonl_checksummed(&mut self.staged);
         } else {
-            entry.to_jsonl_line()
-        };
-        line.push('\n');
-        let result = self.append_bytes(line.as_bytes());
-        self.poisoning(result)
-    }
-
-    fn append_bytes(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        self.disk.write_all(bytes)?;
-        self.disk.flush()?;
-        if self.sync {
-            self.pending += 1;
-            if self.pending >= self.batch {
-                self.disk.sync_data()?;
-                self.pending = 0;
-            }
+            entry.write_jsonl(&mut self.staged);
         }
+        self.staged.push('\n');
         Ok(())
     }
 
-    /// Forces the group-commit batch to disk now. A no-op when nothing is
-    /// pending (in particular under the default batch of 1, where every
-    /// append already synced).
+    /// Writes every staged record in one `write` call and flushes, then —
+    /// when syncing is enabled — `fdatasync`s once. A no-op when nothing
+    /// is staged. Once this returns, the staged records are durable and
+    /// their side effects may be released.
     ///
     /// # Errors
     ///
@@ -1311,17 +1289,40 @@ impl WalWriter {
     /// permanently poisoned — see the type docs.
     pub fn commit(&mut self) -> std::io::Result<()> {
         self.guard()?;
-        if self.sync && self.pending > 0 {
-            let result = self.disk.sync_data();
-            self.poisoning(result)?;
-            self.pending = 0;
+        if self.staged.is_empty() {
+            return Ok(());
+        }
+        let result = self.write_staged();
+        self.staged.clear();
+        self.poisoning(result)
+    }
+
+    fn write_staged(&mut self) -> std::io::Result<()> {
+        self.disk.write_all(self.staged.as_bytes())?;
+        self.disk.flush()?;
+        if self.sync {
+            self.disk.sync_data()?;
         }
         Ok(())
     }
 
+    /// Appends one record: [`stage`](WalWriter::stage) then
+    /// [`commit`](WalWriter::commit) — a single complete-line write plus
+    /// flush, and an `fdatasync` when syncing is enabled.
+    ///
+    /// # Errors
+    ///
+    /// Fails on the underlying I/O error, after which the writer is
+    /// permanently poisoned — see the type docs.
+    pub fn append(&mut self, entry: &Stamped) -> std::io::Result<()> {
+        self.stage(entry)?;
+        self.commit()
+    }
+
     /// Truncates the log to zero length — the compaction step after a
     /// checkpoint snapshot has been durably written elsewhere. The next
-    /// append starts a fresh segment.
+    /// commit starts a fresh segment. Records still staged are kept for
+    /// it: callers commit before truncating what they mean to discard.
     ///
     /// # Errors
     ///
@@ -1333,7 +1334,6 @@ impl WalWriter {
             Ok(()) => self.disk.seek_end().map(|_| ()),
             Err(err) => Err(err),
         };
-        self.pending = 0;
         self.poisoning(result)
     }
 }
@@ -1825,18 +1825,137 @@ mod tests {
             std::process::id()
         ));
         let j = sample_journal();
-        let mut wal = WalWriter::create(&path, true).unwrap().with_batch(4);
-        for e in j.events() {
-            wal.append(e).unwrap();
+        let mut wal = WalWriter::create(&path, true).unwrap();
+        // Commit every fourth record: after every stage and commit the
+        // file holds exactly the committed prefix — a staged record is
+        // not in it — and the short tail reaches it only with the final
+        // commit.
+        let mut committed = 0;
+        for (i, e) in j.events().iter().enumerate() {
+            wal.stage(e).unwrap();
+            if (i + 1) % 4 == 0 {
+                wal.commit().unwrap();
+                committed = i + 1;
+            }
+            let on_disk = std::fs::read_to_string(&path).unwrap();
+            let expect: String = j.events()[..committed]
+                .iter()
+                .map(|e| e.to_jsonl_line() + "\n")
+                .collect();
+            assert_eq!(on_disk, expect, "after record {i}");
         }
-        // Every record is written and flushed regardless of the batch:
-        // the file equals the journal byte for byte even before commit.
-        let on_disk = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(on_disk, j.to_jsonl());
+        assert_ne!(committed, j.len(), "the sample must leave a tail");
         wal.commit().unwrap();
-        wal.commit().unwrap(); // idempotent with nothing pending
+        wal.commit().unwrap(); // idempotent with nothing staged
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), j.to_jsonl());
         let restored = Journal::from_jsonl(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(restored.events(), j.events());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn append_is_byte_identical_to_stage_plus_commit() {
+        let j = sample_journal();
+        for checksum in [false, true] {
+            let path = |how: &str| {
+                std::env::temp_dir().join(format!(
+                    "smartred-wal-{how}-{checksum}-{}.jsonl",
+                    std::process::id()
+                ))
+            };
+            let (appended, staged) = (path("append"), path("stage"));
+            let mut a = WalWriter::create(&appended, true)
+                .unwrap()
+                .with_checksums(checksum);
+            let mut b = WalWriter::create(&staged, true)
+                .unwrap()
+                .with_checksums(checksum);
+            for e in j.events() {
+                a.append(e).unwrap();
+            }
+            for e in j.events() {
+                b.stage(e).unwrap();
+            }
+            b.commit().unwrap();
+            let bytes = std::fs::read(&appended).unwrap();
+            assert_eq!(bytes, std::fs::read(&staged).unwrap());
+            if !checksum {
+                assert_eq!(bytes, j.to_jsonl().into_bytes());
+            }
+            let _ = std::fs::remove_file(&appended);
+            let _ = std::fs::remove_file(&staged);
+        }
+    }
+
+    #[test]
+    fn a_failed_commit_poisons_every_later_call() {
+        use crate::disk::{DiskFaultPlan, FaultyDisk};
+        let path = std::env::temp_dir().join(format!(
+            "smartred-wal-commit-poison-{}.jsonl",
+            std::process::id()
+        ));
+        let plan = DiskFaultPlan {
+            seed: 9,
+            short_write_at: Some(2),
+            ..DiskFaultPlan::default()
+        };
+        let disk = Box::new(FaultyDisk::create(&path, plan).unwrap());
+        let mut w = WalWriter::with_disk(disk, false);
+        let j = sample_journal();
+        w.stage(&j.events()[0]).unwrap();
+        w.commit().unwrap();
+        w.stage(&j.events()[1]).unwrap();
+        w.stage(&j.events()[2]).unwrap();
+        let err = w.commit().unwrap_err();
+        assert!(err.to_string().contains("short write"), "{err}");
+        for err in [
+            w.stage(&j.events()[3]).unwrap_err(),
+            w.commit().unwrap_err(),
+            w.truncate().unwrap_err(),
+            w.append(&j.events()[3]).unwrap_err(),
+        ] {
+            assert!(err.to_string().contains("poisoned"), "{err}");
+            assert!(err.to_string().contains("short write"), "{err}");
+        }
+        // Only the first commit is whole on disk; the failed one left a
+        // strict prefix of its two records, read back as a torn tail (or
+        // as one whole record and a torn one).
+        let text = std::fs::read_to_string(&path).unwrap();
+        let prefix = Journal::from_jsonl_prefix(&text).unwrap();
+        assert!(prefix.journal.len() < 3);
+        assert_eq!(prefix.journal.events()[0], j.events()[0]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn checksummed_staging_round_trips_through_the_prefix_reader() {
+        let path = std::env::temp_dir().join(format!(
+            "smartred-wal-staged-crc-{}.jsonl",
+            std::process::id()
+        ));
+        let j = sample_journal();
+        let mut wal = WalWriter::create(&path, false)
+            .unwrap()
+            .with_checksums(true);
+        for (i, e) in j.events().iter().enumerate() {
+            wal.stage(e).unwrap();
+            if i % 3 == 2 {
+                wal.commit().unwrap();
+            }
+        }
+        wal.commit().unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.lines().all(|l| l.contains("\"crc\":\"")));
+        let expect: String = j
+            .events()
+            .iter()
+            .map(|e| e.to_jsonl_line_checksummed() + "\n")
+            .collect();
+        assert_eq!(text, expect);
+        let prefix = Journal::from_jsonl_prefix(&text).unwrap();
+        assert!(!prefix.torn);
+        assert_eq!(prefix.valid_bytes, text.len());
+        assert_eq!(prefix.journal.events(), j.events());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -2096,8 +2215,8 @@ mod tests {
 
     #[test]
     fn batch_boundary_crash_never_surfaces_a_mid_batch_prefix_as_clean() {
-        // Group commit with batch 16: records 1..=16 were fsynced, 17..24
-        // were written + flushed but NOT synced when the process dies.
+        // Group commit: the batch of records 1..=16 was fsynced, the
+        // batch 17..24 written in one call but NOT synced when power dies.
         // Power loss may then keep any byte prefix of the unsynced tail.
         // The torn-tail contract must hold at every such cut: recovery
         // returns exactly the whole records before the cut, reports torn
@@ -2108,7 +2227,7 @@ mod tests {
             "smartred-wal-batch-tear-{}.jsonl",
             std::process::id()
         ));
-        let mut w = WalWriter::create(&path, true).unwrap().with_batch(16);
+        let mut w = WalWriter::create(&path, true).unwrap();
         let mut j = Journal::new();
         for i in 0..24u64 {
             j.record(
@@ -2120,10 +2239,16 @@ mod tests {
                 },
             );
         }
-        for e in j.events() {
-            w.append(e).unwrap();
+        for (i, e) in j.events().iter().enumerate() {
+            w.stage(e).unwrap();
+            if i + 1 == 16 {
+                w.commit().unwrap();
+            }
         }
-        drop(w); // crash between flush and the batch's fsync
+        // The second batch's write landed; power loss struck before its
+        // fsync returned.
+        w.commit().unwrap();
+        drop(w);
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text, j.to_jsonl(), "every record was written + flushed");
         let synced_boundary: usize = text.lines().take(16).map(|l| l.len() + 1).sum();

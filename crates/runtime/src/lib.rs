@@ -35,8 +35,10 @@
 //!
 //! ## Crash recovery
 //!
-//! With [`RuntimeConfig::wal`] set, every journal event is durably
-//! appended before the coordinator acts on it. If the coordinator process
+//! With [`RuntimeConfig::wal`] set, every journal event is committed to
+//! the log — once per coordinator loop iteration, one write for all of
+//! its events — before any verdict it decides is delivered. If the
+//! coordinator process
 //! dies, [`Runtime::recover`] replays the surviving WAL prefix (tolerating
 //! a torn final record) and resumes: decided tasks are never re-run or
 //! re-delivered, open tasks keep their exact vote tallies and replica
@@ -108,7 +110,8 @@ pub mod workload;
 
 pub use checkpoint::checkpoint_path;
 pub use coordinator::{
-    AdmissionStats, Client, Runtime, RuntimeConfig, RuntimeRun, SubmitOutcome, TaskVerdict,
+    min_wal_commits, AdmissionStats, Client, Runtime, RuntimeConfig, RuntimeRun, SubmitOutcome,
+    TaskVerdict,
 };
 pub use recovery::{RecoveryError, RecoveryReport};
 pub use report::{report_from_journal, RuntimeReport};

@@ -1,8 +1,8 @@
 //! Crash recovery from a write-ahead-log prefix: its errors and report.
 //!
-//! The coordinator journals every event to its WAL *before* acting on it,
-//! so the WAL prefix that survives a crash is a complete record of every
-//! decision the dead coordinator durably made. Recovery repeats that
+//! The coordinator commits every event to its WAL before any verdict it
+//! decides leaves the process, so the WAL prefix that survives a crash is
+//! a complete record of every decision the dead coordinator delivered. Recovery repeats that
 //! history rather than reconstructing it: [`crate::Runtime::recover`]
 //! builds a coordinator with the constructor [`crate::Runtime::start`]
 //! uses, restores a checkpoint snapshot if the segment begins with one,

@@ -8,9 +8,9 @@
 //! `disk-chaos` job can upload them as artifacts; they are removed on
 //! success.
 
-use std::collections::HashMap;
-use std::path::PathBuf;
-use std::time::Duration;
+use std::collections::{HashMap, HashSet};
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use smartred_core::params::VoteMargin;
 use smartred_core::resilience::PoisonPolicy;
@@ -18,8 +18,8 @@ use smartred_core::strategy::Iterative;
 use smartred_desim::disk::DiskFaultPlan;
 use smartred_desim::journal::{Journal, RunEvent};
 use smartred_runtime::{
-    checkpoint_path, report_from_journal, Client, FaultProfile, FaultyWorker, Payload,
-    RecoveryError, Runtime, RuntimeConfig, RuntimeRun, SubmitOutcome, TaskVerdict, Worker,
+    checkpoint_path, min_wal_commits, report_from_journal, Client, FaultProfile, FaultyWorker,
+    Payload, RecoveryError, Runtime, RuntimeConfig, RuntimeRun, SubmitOutcome, TaskVerdict, Worker,
 };
 
 const SEED: u64 = 0xd15c_cafe;
@@ -89,9 +89,13 @@ fn start_chaos(cfg: RuntimeConfig) -> Runtime {
     )
 }
 
-fn submit_all(client: &Client, tasks: &[(u32, Payload)]) {
+/// Submits the roster in order. A submission shed because a fault has
+/// already killed the coordinator ends the submissions — recovery admits
+/// the rest from the roster; any other shed fails the test.
+fn submit_all(runtime: &Runtime, client: &Client, tasks: &[(u32, Payload)]) {
     for (task, payload) in tasks {
         match client.submit(payload.clone()) {
+            SubmitOutcome::Shed if runtime.is_crashed() => return,
             SubmitOutcome::Shed => panic!("queue_cap admits the whole roster"),
             SubmitOutcome::Accepted { task: id } | SubmitOutcome::Queued { task: id } => {
                 assert_eq!(id, *task, "submission order must assign roster ids");
@@ -111,7 +115,7 @@ fn drain_verdicts(client: &Client) -> Vec<TaskVerdict> {
 fn run_roster(cfg: RuntimeConfig, tasks: &[(u32, Payload)]) -> (RuntimeRun, Vec<TaskVerdict>) {
     let runtime = start_chaos(cfg);
     let client = runtime.client();
-    submit_all(&client, tasks);
+    submit_all(&runtime, &client, tasks);
     let verdicts = drain_verdicts(&client);
     drop(client);
     (runtime.finish(), verdicts)
@@ -203,6 +207,63 @@ fn shape(journal: &Journal) -> Vec<(u32, u8, Option<bool>)> {
     out
 }
 
+/// The write-ahead half of deferred acknowledgement, checked on the
+/// crashed run's WAL before recovery touches it: every verdict delivered
+/// before the crash has its decision record in the durable prefix, and
+/// the decided-but-undelivered tasks trail every delivered one — they were
+/// decided in the commit the crash cut, whose verdicts the coordinator
+/// held back. `history` is the crashed run's in-memory journal, which a
+/// checkpoint never compacts. Returns how many decisions the crash left
+/// undelivered (delivery is at-most-once: recovery treats a durable
+/// decision as delivered).
+fn assert_acked_durable(ctx: &str, wal: &Path, history: &Journal, pre: &[TaskVerdict]) -> usize {
+    let bytes = std::fs::read(wal).unwrap();
+    let prefix = Journal::from_jsonl_prefix(&String::from_utf8_lossy(&bytes))
+        .unwrap_or_else(|err| panic!("{ctx}: durable prefix unreadable: {err}"));
+    // Records before the segment's first are durable in its checkpoint
+    // snapshot; an empty segment after a compaction is the snapshot alone.
+    let durable = match prefix.journal.events().last() {
+        Some(last) => last.seq + 1,
+        None => history
+            .events()
+            .iter()
+            .rev()
+            .find_map(|e| match e.event {
+                RunEvent::CheckpointTaken { events, .. } => Some(events),
+                _ => None,
+            })
+            .unwrap_or(0),
+    };
+    let decided: Vec<u32> = history
+        .events()
+        .iter()
+        .take_while(|e| e.seq < durable)
+        .filter_map(|e| match e.event {
+            RunEvent::VerdictReached { task, .. }
+            | RunEvent::TaskCapped { task }
+            | RunEvent::TaskPoisoned { task, .. } => Some(task),
+            _ => None,
+        })
+        .collect();
+    let delivered: HashSet<u32> = pre.iter().map(|v| v.task).collect();
+    for task in &delivered {
+        assert!(
+            decided.contains(task),
+            "{ctx}: task {task} was delivered but its decision is not durable"
+        );
+    }
+    let acked = decided
+        .iter()
+        .take_while(|task| delivered.contains(task))
+        .count();
+    assert_eq!(
+        acked,
+        delivered.len(),
+        "{ctx}: a verdict was delivered ahead of an earlier durable decision"
+    );
+    decided.len() - acked
+}
+
 fn wal_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!(
         "smartred-disk-chaos-{}-{name}.wal.jsonl",
@@ -231,13 +292,20 @@ fn injected_disk_faults_crash_the_coordinator_and_recovery_converges() {
     let golden_votes = votes(&golden_verdicts);
     assert_eq!(golden_votes.len(), tasks.len());
     let golden_shape = shape(&golden.journal);
+    // Every schedule makes at least `commits` writes and fsyncs, so each
+    // fault below fires whatever the interleaving.
+    let commits = min_wal_commits(&golden.journal);
+    assert!(
+        commits >= 4,
+        "too few commits ({commits}) to place the faults"
+    );
 
     let plans: Vec<(&str, DiskFaultPlan)> = vec![
         (
             "fsync-early",
             DiskFaultPlan {
                 seed: SEED,
-                fail_fsync_at: Some(3),
+                fail_fsync_at: Some(2),
                 ..DiskFaultPlan::default()
             },
         ),
@@ -245,7 +313,7 @@ fn injected_disk_faults_crash_the_coordinator_and_recovery_converges() {
             "fsync-late",
             DiskFaultPlan {
                 seed: SEED ^ 1,
-                fail_fsync_at: Some(25),
+                fail_fsync_at: Some(commits),
                 ..DiskFaultPlan::default()
             },
         ),
@@ -253,7 +321,7 @@ fn injected_disk_faults_crash_the_coordinator_and_recovery_converges() {
             "short-write",
             DiskFaultPlan {
                 seed: SEED ^ 2,
-                short_write_at: Some(12),
+                short_write_at: Some(commits / 2),
                 ..DiskFaultPlan::default()
             },
         ),
@@ -261,7 +329,7 @@ fn injected_disk_faults_crash_the_coordinator_and_recovery_converges() {
             "power-loss",
             DiskFaultPlan {
                 seed: SEED ^ 3,
-                crash_after_writes: Some(18),
+                crash_after_writes: Some(commits - 1),
                 ..DiskFaultPlan::default()
             },
         ),
@@ -272,6 +340,7 @@ fn injected_disk_faults_crash_the_coordinator_and_recovery_converges() {
         cfg.disk_faults = Some(plan);
         let (crashed, pre_verdicts) = run_roster(cfg, &tasks);
         assert!(crashed.crashed, "{name}: the injected fault must crash");
+        let lost = assert_acked_durable(name, &wal, &crashed.journal, &pre_verdicts);
 
         // Recovery reopens the real (now healthy) file; torn iff the
         // fault persisted a partial final record without its newline.
@@ -289,9 +358,89 @@ fn injected_disk_faults_crash_the_coordinator_and_recovery_converges() {
             golden_shape,
             "{name}: recovered run diverged from golden"
         );
-        assert_delivery(name, &pre_verdicts, &post_verdicts, &golden_votes, 1);
+        assert_delivery(name, &pre_verdicts, &post_verdicts, &golden_votes, lost);
         cleanup(&wal);
     }
+}
+
+/// Collects verdicts until `expected` have arrived or the coordinator has
+/// died. A dead coordinator sends nothing more, so once it is seen dead,
+/// an empty channel means every verdict it acknowledged is in hand.
+fn drain_until_done(client: &Client, runtime: &Runtime, expected: usize) -> Vec<TaskVerdict> {
+    let mut verdicts = Vec::new();
+    let give_up = Instant::now() + Duration::from_secs(60);
+    while verdicts.len() < expected && Instant::now() < give_up {
+        let dead = runtime.is_crashed();
+        match client.recv_timeout(Duration::from_millis(20)) {
+            Some(v) => verdicts.push(v),
+            None if dead => break,
+            None => {}
+        }
+    }
+    verdicts
+}
+
+/// Deferred acknowledgement at every batch boundary: power fails during
+/// the (k+1)-th WAL write for k = 0, 1, … until a run makes no (k+1)-th
+/// write, so the torn commit is in turn every multi-record batch of the
+/// run. No verdict may reach a client before its decision is durable, and
+/// recovery must converge to the golden run with every task delivered at
+/// most once — exactly the decisions the torn commit carried go
+/// undelivered.
+#[test]
+fn power_loss_at_every_write_never_acknowledges_an_undurable_verdict() {
+    quiet_injected_panics();
+    let tasks = roster(8);
+    let (golden, golden_verdicts) = run_roster(chaos_cfg(None), &tasks);
+    let golden_votes = votes(&golden_verdicts);
+    let golden_shape = shape(&golden.journal);
+
+    let mut crashes = 0;
+    for k in 0u64.. {
+        let ctx = format!("power loss after write {k}");
+        let wal = wal_path(&format!("every-write-{k}"));
+        let mut cfg = chaos_cfg(Some(wal.clone()));
+        cfg.disk_faults = Some(DiskFaultPlan {
+            seed: SEED ^ k,
+            crash_after_writes: Some(k),
+            ..DiskFaultPlan::default()
+        });
+        let runtime = start_chaos(cfg);
+        let client = runtime.client();
+        submit_all(&runtime, &client, &tasks);
+        let pre = drain_until_done(&client, &runtime, tasks.len());
+        drop(client);
+        let crashed = runtime.finish();
+        if !crashed.crashed {
+            assert_eq!(votes(&pre), golden_votes, "{ctx}: uncrashed run");
+            cleanup(&wal);
+            break;
+        }
+        crashes += 1;
+        let lost = assert_acked_durable(&ctx, &wal, &crashed.journal, &pre);
+
+        let (runtime, client, _) = Runtime::recover(
+            chaos_cfg(Some(wal.clone())),
+            Iterative::new(VoteMargin::new(MARGIN).unwrap()),
+            |_| Box::new(FaultyWorker::new(SEED, chaos_profile())),
+            &tasks,
+        )
+        .unwrap_or_else(|err| panic!("{ctx}: recovery failed: {err}"));
+        let owed = tasks.len() - pre.len() - lost;
+        let post = drain_until_done(&client, &runtime, owed);
+        drop(client);
+        let run = runtime.finish();
+        assert!(!run.crashed);
+        assert_eq!(shape(&run.journal), golden_shape, "{ctx}: diverged");
+        assert_eq!(report_from_journal(&run.journal), run.report, "{ctx}");
+        assert_delivery(&ctx, &pre, &post, &golden_votes, lost);
+        cleanup(&wal);
+    }
+    let commits = min_wal_commits(&golden.journal);
+    assert!(
+        crashes >= commits,
+        "the sweep stopped after {crashes} crashes, below the {commits}-commit bound"
+    );
 }
 
 /// Silent single-bit rot in a checksummed WAL is *detected* at recovery —
@@ -305,12 +454,14 @@ fn bit_rot_in_a_checksummed_wal_is_refused_and_quarantined() {
     let wal = wal_path("bit-rot");
     let mut cfg = chaos_cfg(Some(wal.clone()));
     cfg.wal_checksum = true;
-    // Flip one seeded bit after the 10th write: the rot lands strictly
-    // before later appends, so the damaged record is newline-terminated —
-    // in-place corruption, not a torn tail.
+    // Flip one seeded bit after a write every schedule makes and follows
+    // with another: the rot lands strictly before later commits, so the
+    // damaged record is newline-terminated — in-place corruption, not a
+    // torn tail.
+    let (golden, _) = run_roster(chaos_cfg(None), &tasks);
     cfg.disk_faults = Some(DiskFaultPlan {
         seed: SEED ^ 4,
-        flip_bit_after: Some(10),
+        flip_bit_after: Some(min_wal_commits(&golden.journal) - 1),
         ..DiskFaultPlan::default()
     });
     let (run, verdicts) = run_roster(cfg, &tasks);
@@ -424,7 +575,7 @@ mod checkpoint_matrix {
         let client = runtime.client();
         let mut verdicts = Vec::new();
         for burst in tasks.chunks(tasks.len().div_ceil(3)) {
-            submit_all(&client, burst);
+            submit_all(runtime, &client, burst);
             verdicts.extend(drain_verdicts(&client));
             if runtime.is_crashed() {
                 break;
@@ -711,22 +862,25 @@ mod checkpoint_matrix {
 fn disk_fault_during_a_checkpointed_run_recovers() {
     quiet_injected_panics();
     let tasks = roster(8);
-    let (_, golden_verdicts) = run_roster(chaos_cfg(None), &tasks);
+    let (golden, golden_verdicts) = run_roster(chaos_cfg(None), &tasks);
     let golden_votes = votes(&golden_verdicts);
 
     let wal = wal_path("ckpt-fault");
     let mut cfg = chaos_cfg(Some(wal.clone()));
     cfg.checkpoint_every = Some(10);
+    // The last fsync every schedule reaches: bursts and checkpoint seals
+    // only add commits to the golden run's lower bound.
+    let fail_at = min_wal_commits(&golden.journal);
     cfg.disk_faults = Some(DiskFaultPlan {
         seed: SEED ^ 7,
-        fail_fsync_at: Some(100),
+        fail_fsync_at: Some(fail_at),
         ..DiskFaultPlan::default()
     });
     let runtime = start_chaos(cfg);
     let client = runtime.client();
     let mut pre_verdicts = Vec::new();
     for burst in tasks.chunks(3) {
-        submit_all(&client, burst);
+        submit_all(&runtime, &client, burst);
         pre_verdicts.extend(drain_verdicts(&client));
         if runtime.is_crashed() {
             break;
@@ -734,7 +888,8 @@ fn disk_fault_during_a_checkpointed_run_recovers() {
     }
     drop(client);
     let crashed = runtime.finish();
-    assert!(crashed.crashed, "the 100th fsync must kill the coordinator");
+    assert!(crashed.crashed, "fsync {fail_at} must kill the coordinator");
+    let lost = assert_acked_durable("ckpt-fault", &wal, &crashed.journal, &pre_verdicts);
 
     let mut cfg = chaos_cfg(Some(wal.clone()));
     cfg.checkpoint_every = Some(10);
@@ -746,7 +901,7 @@ fn disk_fault_during_a_checkpointed_run_recovers() {
         &pre_verdicts,
         &post_verdicts,
         &golden_votes,
-        1,
+        lost,
     );
     cleanup(&wal);
 }

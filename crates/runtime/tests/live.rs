@@ -7,9 +7,12 @@ use std::time::Duration;
 
 use rand::SeedableRng;
 use smartred_core::analysis;
+use smartred_core::audit::AuditPolicy;
 use smartred_core::params::{KVotes, Reliability, VoteMargin};
 use smartred_core::strategy::{Iterative, RedundancyStrategy, Traditional};
+use smartred_core::task::MAX_VOIDS;
 use smartred_desim::journal::assert as jassert;
+use smartred_desim::journal::RunEvent;
 use smartred_runtime::{
     report_from_journal, FaultProfile, FaultyWorker, Payload, Runtime, RuntimeConfig, RuntimeRun,
     SubmitOutcome, TaskVerdict,
@@ -548,4 +551,90 @@ fn runtime_journal_round_trips_jsonl() {
     assert_eq!(restored.events(), run.journal.events());
     assert_eq!(restored.digest(), run.journal.digest());
     assert_eq!(report_from_journal(&restored), run.report);
+}
+
+/// A verdict that keeps coming back tainted is accepted after
+/// [`MAX_VOIDS`] audit voids — the simulators' rule — instead of being
+/// voided and re-run forever. Every worker lies and every verdict is
+/// audited, so each attempt's verdict is voided until the cap. The count
+/// is durable: a coordinator killed between voids resumes with the count
+/// it had, so recovery stops at the same cap.
+#[test]
+fn audit_voids_stop_at_the_cap_and_the_count_survives_recovery() {
+    let liars = FaultProfile {
+        wrong_rate: 1.0,
+        ..FaultProfile::default()
+    };
+    let cfg = |wal: Option<std::path::PathBuf>| RuntimeConfig {
+        workers: Some(3),
+        audit: AuditPolicy::spot(1.0),
+        wal,
+        ..RuntimeConfig::default()
+    };
+    let strategy = || Iterative::new(VoteMargin::new(2).unwrap());
+    let make_worker =
+        move |_| Box::new(FaultyWorker::new(11, liars)) as Box<dyn smartred_runtime::Worker>;
+    let payload = Payload::Synthetic {
+        answer: true,
+        work: Duration::ZERO,
+    };
+    let voids = |run: &RuntimeRun| {
+        run.journal
+            .events()
+            .iter()
+            .filter(|e| matches!(e.event, RunEvent::VerdictVoided { .. }))
+            .count() as u32
+    };
+
+    let runtime = Runtime::start(cfg(None), strategy(), make_worker);
+    let client = runtime.client();
+    assert_ne!(client.submit(payload.clone()), SubmitOutcome::Shed);
+    let verdict = client
+        .recv_timeout(Duration::from_secs(20))
+        .expect("a task voided past the cap must still be decided");
+    assert_eq!(verdict.vote, Some(false), "the cartel's verdict stands");
+    drop(client);
+    let golden = runtime.finish();
+    assert_eq!(voids(&golden), MAX_VOIDS);
+    assert_eq!(golden.report.verdicts_voided, u64::from(MAX_VOIDS));
+
+    // Kill the coordinator right after it logs the second void.
+    let second_void = golden
+        .journal
+        .events()
+        .iter()
+        .filter(|e| matches!(e.event, RunEvent::VerdictVoided { .. }))
+        .nth(1)
+        .expect("two voids")
+        .seq;
+    let wal = std::env::temp_dir().join(format!(
+        "smartred-live-void-cap-{}.wal.jsonl",
+        std::process::id()
+    ));
+    let mut crashing = cfg(Some(wal.clone()));
+    crashing.crash_after_events = Some(second_void + 1);
+    let runtime = Runtime::start(crashing, strategy(), make_worker);
+    let client = runtime.client();
+    assert_ne!(client.submit(payload.clone()), SubmitOutcome::Shed);
+    drop(client);
+    let crashed = runtime.finish();
+    assert!(crashed.crashed);
+    assert_eq!(voids(&crashed), 2);
+
+    let (runtime, client, _) = Runtime::recover(
+        cfg(Some(wal.clone())),
+        strategy(),
+        make_worker,
+        &[(0, payload)],
+    )
+    .expect("recovery");
+    let verdict = client
+        .recv_timeout(Duration::from_secs(20))
+        .expect("the recovered task must be decided");
+    assert_eq!(verdict.vote, Some(false));
+    drop(client);
+    let run = runtime.finish();
+    assert_eq!(voids(&run), MAX_VOIDS, "replay must carry the void count");
+    assert_eq!(report_from_journal(&run.journal), run.report);
+    let _ = std::fs::remove_file(&wal);
 }
